@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -35,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppgstress",
         description="PPG -> HRV -> relaxed/stressed classification pipeline")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="upper bound on worker processes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic cohort to disk")

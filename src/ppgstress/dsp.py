@@ -88,16 +88,17 @@ class Psd:
 def welch_psd(x, fs: float, segment_len: int, overlap_frac: float = 0.5) -> Psd:
     """Hann-windowed, per-segment mean-removed averaged periodogram.
 
-    Density normalization: the integral over [0, fs/2] approximates the
-    signal variance (within windowing bias, roughly +-10%).
+    `x` is one sequence or a (rows, n) stack of them, which gives one power
+    row per sequence. Density normalization: the integral over [0, fs/2]
+    approximates the signal variance (within windowing bias, roughly +-10%).
     """
     x = np.asarray(x, dtype=float)
     if segment_len < 8:
         raise ValidationError(f"segment_len must be >= 8, got {segment_len}")
     if not 0 <= overlap_frac < 1:
         raise ValidationError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
-    if len(x) < segment_len:
-        raise DataError(f"sequence of {len(x)} samples shorter than one "
+    if x.shape[-1] < segment_len:
+        raise DataError(f"sequence of {x.shape[-1]} samples shorter than one "
                         f"segment ({segment_len})")
     freqs, power = signal.welch(
         x, fs=fs, window="hann", nperseg=segment_len,

@@ -1,8 +1,8 @@
-"""HRV feature catalog: time, frequency and non-linear domains for one RR window."""
+"""HRV feature catalog: time, frequency and non-linear domains, computed in one
+batched pass over all windows of an RR series."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +60,11 @@ CATALOG: tuple[tuple[str, str, str, str], ...] = (
 
 FEATURE_NAMES: tuple[str, ...] = tuple(name for name, _, _, _ in CATALOG)
 
+# Why a window is unusable, by precedence: a refusal (a DataError from the
+# one-window functions), then the flags in catalog order.
+DROP_REASONS = ("data_error", "too_many_rejected_intervals", "hf_zero",
+                "no_lf_hf_power", "degenerate_poincare")
+
 
 @dataclass(frozen=True)
 class WindowFeatures:
@@ -71,40 +76,60 @@ class WindowFeatures:
         return not self.flags
 
 
-def time_domain(rr_ms) -> dict[str, float]:
-    """The 14 time-domain features of the catalog."""
+def window_features(rr: RrSeries, lo, hi, n_rejected,
+                    window_span_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Catalog rows of the windows `rr.rr_ms[lo[i]:hi[i]]` of one RR series.
+
+    Returns `(X, reasons)`: X has a row per window in FEATURE_NAMES order
+    (NaN where refused), and `reasons[i, j]` is whether DROP_REASONS[j]
+    applies to window i. A window is refused with fewer than 20 intervals or
+    a span under 60 s; its `n_rejected[i]` screened-out intervals count
+    towards the rejected fraction.
+    """
+    lo, hi, n_rejected = (np.asarray(a, dtype=np.intp)
+                          for a in (lo, hi, n_rejected))
+    n = hi - lo
+    reasons = np.zeros((n.size, len(DROP_REASONS)), dtype=bool)
+    reasons[:, 0] = ((n < SPECTRAL_MIN_INTERVALS)
+                     | (window_span_s < SPECTRAL_MIN_SPAN_S))
+    reasons[:, 1] = n_rejected / np.maximum(n + n_rejected, 1) > MAX_REJECTED_FRAC
+    X = np.full((n.size, len(FEATURE_NAMES)), np.nan)
+    ok = ~reasons[:, 0]
+    if ok.any():
+        lo, hi, n = lo[ok], hi[ok], n[ok]
+        # Rows padded with their last interval; every reduction masks by n.
+        R = rr.rr_ms[np.minimum(lo[:, None] + np.arange(n.max()), hi[:, None] - 1)]
+        cols = {**_rr_columns(R, n),
+                **_spectral_columns(rr.rr_times_s, rr.rr_ms, lo, hi)}
+        X[ok] = np.column_stack([cols[name] for name in FEATURE_NAMES])
+        reasons[ok, 2:] = np.column_stack([cols[r] for r in DROP_REASONS[2:]])
+    return X, reasons
+
+
+def _one(cols: dict, domain: str) -> WindowFeatures:
+    """The first row of a column dict: one domain's values and raised flags."""
+    return WindowFeatures(
+        {name: float(cols[name][0]) for name, d, _, _ in CATALOG if d == domain},
+        tuple(r for r in DROP_REASONS if r in cols and cols[r][0]))
+
+
+def _rr_window(rr_ms) -> dict:
     rr = np.asarray(rr_ms, dtype=float)
     if rr.size < 4:
-        raise DataError(f"need >= 4 intervals for time-domain features, got {rr.size}")
-    d = np.diff(rr)
-    mean = float(np.mean(rr))
-    sdnn = float(np.std(rr, ddof=1))
-    rmssd = float(np.sqrt(np.mean(d ** 2)))
-    median = float(np.median(rr))
-    mad = MAD_SCALE * float(np.median(np.abs(rr - median)))
-    return {
-        "MeanNN": mean,
-        "SDNN": sdnn,
-        "RMSSD": rmssd,
-        "SDSD": float(np.std(d, ddof=1)),
-        "CVNN": sdnn / mean,
-        "CVSD": rmssd / mean,
-        "MedianNN": median,
-        "MadNN": mad,
-        "MCVNN": mad / median,
-        "IQRNN": float(np.percentile(rr, 75) - np.percentile(rr, 25)),
-        "pNN20": 100.0 * float(np.count_nonzero(np.abs(d) > 20.0)) / d.size,
-        "pNN50": 100.0 * float(np.count_nonzero(np.abs(d) > 50.0)) / d.size,
-        "MinNN": float(np.min(rr)),
-        "MaxNN": float(np.max(rr)),
-    }
+        raise DataError(f"need >= 4 intervals for time and nonlinear features, "
+                        f"got {rr.size}")
+    return _rr_columns(rr[None, :], np.array([rr.size]))
 
 
-def _band_power(psd, lo: float, hi: float) -> float:
-    mask = (psd.freqs >= lo) & (psd.freqs <= hi)
-    if np.count_nonzero(mask) < 2:
-        return 0.0
-    return float(np.trapezoid(psd.power[mask], psd.freqs[mask]))
+def _refuse(rr: RrSeries, window_span_s: float) -> None:
+    if window_span_s < SPECTRAL_MIN_SPAN_S or rr.rr_ms.size < SPECTRAL_MIN_INTERVALS:
+        raise DataError(f"spectral features need a window of >= 60 s and >= 20 "
+                        f"intervals, got {window_span_s:.0f} s and {rr.rr_ms.size}")
+
+
+def time_domain(rr_ms) -> dict[str, float]:
+    """The 14 time-domain features of the catalog."""
+    return _one(_rr_window(rr_ms), "time").values
 
 
 def frequency_domain(rr: RrSeries, window_span_s: float) -> WindowFeatures:
@@ -113,87 +138,143 @@ def frequency_domain(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     Refuses windows shorter than 60 s: spectral indices are meaningless below
     that span.
     """
-    if window_span_s < SPECTRAL_MIN_SPAN_S:
-        raise DataError(
-            f"spectral features need a window of >= {SPECTRAL_MIN_SPAN_S:.0f} s, "
-            f"got {window_span_s:.0f} s")
-    if rr.rr_ms.size < SPECTRAL_MIN_INTERVALS:
-        raise DataError(
-            f"need >= {SPECTRAL_MIN_INTERVALS} intervals for spectral features, "
-            f"got {rr.rr_ms.size}")
-    t = rr.rr_times_s
-    grid = np.arange(t[0], t[-1], 1.0 / RESAMPLE_HZ)
-    tach = np.interp(grid, t, rr.rr_ms)
-    tach = tach - np.mean(tach)
-    seg = min(WELCH_SEGMENT, len(tach))
-    psd = welch_psd(tach, RESAMPLE_HZ, seg)
-
-    vlf = _band_power(psd, *VLF_BAND)
-    lf = _band_power(psd, *LF_BAND)
-    hf = _band_power(psd, *HF_BAND)
-    flags: list[str] = []
-    if hf <= 1e-12:
-        flags.append("hf_zero")
-        lfhf = lnhf = math.nan
-    else:
-        lfhf = lf / hf
-        lnhf = math.log(hf)
-    denom = lf + hf
-    lfn = lf / denom if denom > 0 else math.nan
-    hfn = hf / denom if denom > 0 else math.nan
-    if denom <= 0:
-        flags.append("no_lf_hf_power")
-    return WindowFeatures({
-        "VLF": vlf, "LF": lf, "HF": hf, "TP": vlf + lf + hf,
-        "LFHF": lfhf, "LFn": lfn, "HFn": hfn, "LnHF": lnhf,
-    }, tuple(flags))
-
-
-def shannon_entropy(rr: np.ndarray) -> float:
-    """Entropy (bits) of the 8-equal-width-bin RR histogram over [min, max]."""
-    lo, hi = float(np.min(rr)), float(np.max(rr))
-    if hi == lo:
-        return 0.0
-    counts, _ = np.histogram(rr, bins=SHANEN_BINS, range=(lo, hi))
-    p = counts[counts > 0] / rr.size
-    return float(-np.sum(p * np.log2(p)))
+    _refuse(rr, window_span_s)
+    return _one(_spectral_columns(rr.rr_times_s, rr.rr_ms, np.array([0]),
+                                  np.array([rr.rr_ms.size])), "frequency")
 
 
 def nonlinear(rr_ms) -> WindowFeatures:
     """Poincare descriptors (via the variance identities) plus Shannon entropy."""
-    rr = np.asarray(rr_ms, dtype=float)
-    if rr.size < 4:
-        raise DataError(f"need >= 4 intervals for nonlinear features, got {rr.size}")
-    d = np.diff(rr)
-    var_d = float(np.var(d))
-    var_rr = float(np.var(rr))
-    sd1 = math.sqrt(0.5 * var_d)
-    sd2 = math.sqrt(max(0.0, 2.0 * var_rr - 0.5 * var_d))
-    flags: list[str] = []
-    if sd1 == 0.0 or sd2 == 0.0:
-        flags.append("degenerate_poincare")
-        ratio = csi = math.nan
-    else:
-        ratio = sd1 / sd2
-        csi = sd2 / sd1
-    return WindowFeatures({
-        "SD1": sd1, "SD2": sd2, "SD1SD2": ratio, "CSI": csi,
-        "ShanEn": shannon_entropy(rr),
-    }, tuple(flags))
+    return _one(_rr_window(rr_ms), "nonlinear")
 
 
 def all_features(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     """All catalog features for one window; any sub-domain flag marks it unusable."""
-    flags: list[str] = []
-    total = rr.rr_ms.size + rr.n_rejected
-    if total > 0 and rr.n_rejected / total > MAX_REJECTED_FRAC:
-        flags.append("too_many_rejected_intervals")
-    values = dict(time_domain(rr.rr_ms))
-    freq = frequency_domain(rr, window_span_s)
-    values.update(freq.values)
-    flags.extend(freq.flags)
-    nl = nonlinear(rr.rr_ms)
-    values.update(nl.values)
-    flags.extend(nl.flags)
-    ordered = {name: values[name] for name in FEATURE_NAMES}
-    return WindowFeatures(ordered, tuple(flags))
+    _refuse(rr, window_span_s)
+    X, reasons = window_features(rr, [0], [rr.rr_ms.size], [rr.n_rejected],
+                                 window_span_s)
+    return WindowFeatures(dict(zip(FEATURE_NAMES, X[0].tolist())),
+                          tuple(r for r, on in zip(DROP_REASONS, reasons[0]) if on))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, undefined: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.full_like(num, np.nan), where=~undefined)
+
+
+def _rr_columns(R: np.ndarray, n: np.ndarray) -> dict:
+    """Time-domain and nonlinear columns of the rows R[i, :n[i]] (n >= 4).
+
+    Moments take two passes, since E[x^2] - E[x]^2 cancels badly on
+    low-variance windows. Order statistics come from rows sorted with +inf
+    padding.
+    """
+    valid = np.arange(R.shape[1]) < n[:, None]
+    mean = np.where(valid, R, 0.0).sum(axis=1) / n
+    ss = np.where(valid, (R - mean[:, None]) ** 2, 0.0).sum(axis=1)
+    d = np.where(valid[:, 1:], np.diff(R, axis=1), 0.0)
+    mean_d = d.sum(axis=1) / (n - 1)
+    ss_d = np.where(valid[:, 1:], (d - mean_d[:, None]) ** 2, 0.0).sum(axis=1)
+    ordered = np.sort(np.where(valid, R, np.inf), axis=1)
+    median = _sorted_median(ordered, n)
+    mad = MAD_SCALE * _sorted_median(
+        np.sort(np.where(valid, np.abs(R - median[:, None]), np.inf), axis=1), n)
+    sdnn = np.sqrt(ss / (n - 1))
+    rmssd = np.sqrt((d ** 2).sum(axis=1) / (n - 1))
+    var_d = ss_d / (n - 1)
+    sd1 = np.sqrt(0.5 * var_d)
+    sd2 = np.sqrt(np.maximum(0.0, 2.0 * (ss / n) - 0.5 * var_d))
+    degenerate = (sd1 == 0.0) | (sd2 == 0.0)
+    counts = _bin_counts(ordered, n)
+    p = counts / n[:, None]
+    return {
+        "MeanNN": mean, "SDNN": sdnn, "RMSSD": rmssd,
+        "SDSD": np.sqrt(ss_d / (n - 2)),
+        "CVNN": sdnn / mean, "CVSD": rmssd / mean,
+        "MedianNN": median, "MadNN": mad, "MCVNN": mad / median,
+        "IQRNN": (_sorted_percentile(ordered, n, 0.75)
+                  - _sorted_percentile(ordered, n, 0.25)),
+        "pNN20": 100.0 * np.count_nonzero(np.abs(d) > 20.0, axis=1) / (n - 1),
+        "pNN50": 100.0 * np.count_nonzero(np.abs(d) > 50.0, axis=1) / (n - 1),
+        "MinNN": ordered[:, 0], "MaxNN": ordered[np.arange(n.size), n - 1],
+        "SD1": sd1, "SD2": sd2,
+        "SD1SD2": _ratio(sd1, sd2, degenerate), "CSI": _ratio(sd2, sd1, degenerate),
+        "ShanEn": 0.0 - np.sum(
+            p * np.log2(p, out=np.zeros_like(p), where=counts > 0), axis=1),
+        "degenerate_poincare": degenerate,
+    }
+
+
+def _sorted_median(S: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """np.median of each row's first n values; rows sorted ascending."""
+    rows = np.arange(n.size)
+    return (S[rows, (n - 1) // 2] + S[rows, n // 2]) / 2
+
+
+def _sorted_percentile(S: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(x, 100 * q) of each row's first n sorted values, with
+    numpy's `_lerp`, which works from the upper neighbour at weights >= 0.5."""
+    rows = np.arange(n.size)
+    virtual = (n - 1) * q
+    below = np.floor(virtual).astype(np.intp)
+    t = virtual - below
+    a, b = S[rows, below], S[rows, np.minimum(below + 1, n - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def _bin_counts(S: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """np.histogram(x, 8, range=(min, max)) counts of each row's first n
+    sorted values: linspace edges, a zero-width range widened by 0.5 on each
+    side, indices moved by one where rounding crossed an edge, and a last
+    bin closed on the right."""
+    rows = np.arange(n.size)
+    lo, hi = S[:, 0], S[rows, n - 1]
+    first, last = (lo - 0.5 * (lo == hi))[:, None], (hi + 0.5 * (lo == hi))[:, None]
+    edges = first + np.arange(SHANEN_BINS + 1) * ((last - first) / SHANEN_BINS)
+    edges[:, -1:] = last
+    valid = np.arange(S.shape[1]) < n[:, None]
+    x = np.where(valid, S, first)
+    idx = np.minimum(((x - first) / (last - first) * SHANEN_BINS).astype(np.intp),
+                     SHANEN_BINS - 1)
+    idx -= x < np.take_along_axis(edges, idx, axis=1)
+    idx += (x >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != SHANEN_BINS - 1)
+    return np.bincount((rows[:, None] * SHANEN_BINS + idx)[valid],
+                       minlength=n.size * SHANEN_BINS).reshape(-1, SHANEN_BINS)
+
+
+def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> dict:
+    """Frequency-domain columns of the windows rr_ms[lo[i]:hi[i]].
+
+    Each window is resampled at 4 Hz on its own grid from its first beat and
+    has its mean removed. Windows with the same Welch segment length and
+    count are cut to the samples Welch reads and share one welch_psd call.
+    """
+    t0, t1 = t[lo], t[hi - 1]
+    length = np.ceil((t1 - t0) / (1.0 / RESAMPLE_HZ)).astype(np.intp)
+    k = np.arange(length.max())
+    # np.arange(t0, t1, step) puts sample k at t0 + k * ((t0 + step) - t0).
+    grid = t0[:, None] + k * ((t0 + 1.0 / RESAMPLE_HZ) - t0)[:, None]
+    # Clamped to the window's last beat, the grid interpolates on the whole
+    # series exactly as on the window alone.
+    tach = np.interp(np.minimum(grid, t1[:, None]), t, rr_ms)
+    tach -= (np.where(k < length[:, None], tach, 0.0).sum(axis=1) / length)[:, None]
+    seg = np.minimum(WELCH_SEGMENT, length)
+    hop = seg - seg // 2
+    used = seg + ((length - seg // 2) // hop - 1) * hop
+    bands = np.empty((lo.size, 3))
+    for s, u in set(zip(seg.tolist(), used.tolist())):
+        rows = np.flatnonzero((seg == s) & (used == u))
+        psd = welch_psd(tach[rows, :u], RESAMPLE_HZ, s)
+        for j, (f_lo, f_hi) in enumerate((VLF_BAND, LF_BAND, HF_BAND)):
+            # A band with fewer than 2 bins integrates to 0.
+            band = (psd.freqs >= f_lo) & (psd.freqs <= f_hi)
+            bands[rows, j] = np.trapezoid(psd.power[:, band], psd.freqs[band], axis=-1)
+    vlf, lf, hf = bands.T
+    hf_zero, no_power = hf <= 1e-12, lf + hf <= 0
+    return {
+        "VLF": vlf, "LF": lf, "HF": hf, "TP": vlf + lf + hf,
+        "LFHF": _ratio(lf, hf, hf_zero),
+        "LFn": _ratio(lf, lf + hf, no_power), "HFn": _ratio(hf, lf + hf, no_power),
+        "LnHF": np.log(hf, out=np.full_like(hf, np.nan), where=~hf_zero),
+        "hf_zero": hf_zero, "no_lf_hf_power": no_power,
+    }

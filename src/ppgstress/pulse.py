@@ -103,10 +103,16 @@ def to_rr(peak_times_s) -> RrSeries:
     return RrSeries(peaks, rr[ok], times[ok], int(np.count_nonzero(~ok)), times[~ok])
 
 
+def window_bounds(times_s: np.ndarray, start_s, end_s) -> tuple:
+    """Index bounds [lo, hi) of the sorted times inside each window [start, end)."""
+    lo = np.searchsorted(times_s, start_s, "left")
+    return lo, np.maximum(lo, np.searchsorted(times_s, end_s, "left"))
+
+
 def slice_window(rr: RrSeries, start_s: float, end_s: float) -> RrSeries:
     """Restrict an RrSeries to intervals whose terminating peak is in [start, end)."""
-    pk = (rr.peak_times_s >= start_s) & (rr.peak_times_s < end_s)
-    keep = (rr.rr_times_s >= start_s) & (rr.rr_times_s < end_s)
-    rej = (rr.rejected_times_s >= start_s) & (rr.rejected_times_s < end_s)
-    return RrSeries(rr.peak_times_s[pk], rr.rr_ms[keep], rr.rr_times_s[keep],
-                    int(np.count_nonzero(rej)), rr.rejected_times_s[rej])
+    (p0, p1), (r0, r1), (j0, j1) = (
+        window_bounds(times, start_s, end_s)
+        for times in (rr.peak_times_s, rr.rr_times_s, rr.rejected_times_s))
+    return RrSeries(rr.peak_times_s[p0:p1], rr.rr_ms[r0:r1], rr.rr_times_s[r0:r1],
+                    int(j1 - j0), rr.rejected_times_s[j0:j1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,11 +50,13 @@ def segment(trace: PpgTrace, spec: WindowSpec) -> list[Window]:
     """Windows placed independently inside each condition span (never straddling)."""
     out = []
     for span in trace.annotations:
-        start = span.start_s
-        while start + spec.size_s <= span.end_s + 1e-9:
+        i = 0
+        # Each start is computed afresh, so float error does not accumulate.
+        while ((start := span.start_s + i * spec.step_s) + spec.size_s
+               <= span.end_s + 1e-9):
             out.append(Window(trace.subject_id, span.condition.value,
                               start, start + spec.size_s))
-            start += spec.step_s
+            i += 1
     return out
 
 
@@ -92,9 +95,9 @@ class FeatureMatrix:
         with open(path, "w") as f:
             f.write("subject,label,start_s," + ",".join(self.columns) + "\n")
             for i in range(self.n_rows):
-                vals = ",".join("%.12g" % v for v in self.X[i])
+                vals = ",".join("%.17g" % v for v in self.X[i])
                 f.write(f"{self.subjects[i]},{self.labels[i]},"
-                        f"{'%.12g' % self.starts[i]},{vals}\n")
+                        f"{'%.17g' % self.starts[i]},{vals}\n")
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
@@ -131,38 +134,38 @@ def prepare_trace(trace: PpgTrace, config: PipelineConfig) -> pulse.RrSeries:
 def build_matrix(ds: Dataset, spec: WindowSpec,
                  config: PipelineConfig = PipelineConfig(),
                  prepared: dict[str, pulse.RrSeries] | None = None) -> FeatureMatrix:
-    """filtfilt -> peaks -> per-window RR slice -> HRV features, per trace.
+    """filtfilt -> peaks -> RR -> HRV features of all windows, one batched
+    pass per trace.
 
-    Unusable windows are dropped (logged); a subject left without both
-    classes is an error.
+    Unusable windows are dropped (logged per reason); a subject left without
+    both classes is an error.
     """
     subjects, labels, starts, rows = [], [], [], []
     for trace in ds:
         rr = (prepared or {}).get(trace.subject_id) or prepare_trace(trace, config)
-        dropped = 0
-        kept_labels = []
-        for win in segment(trace, spec):
-            wrr = pulse.slice_window(rr, win.start_s, win.end_s)
-            try:
-                feats = hrv.all_features(wrr, spec.size_s)
-            except DataError:
-                dropped += 1
-                continue
-            if not feats.usable:
-                dropped += 1
-                continue
-            subjects.append(trace.subject_id)
-            labels.append(win.label)
-            starts.append(win.start_s)
-            rows.append([feats.values[n] for n in hrv.FEATURE_NAMES])
-            kept_labels.append(win.label)
-        if dropped:
-            log.info("subject %s: dropped %d unusable windows", trace.subject_id, dropped)
-        if len(set(kept_labels)) < 2:
+        wins = segment(trace, spec)
+        start = np.array([w.start_s for w in wins])
+        end = np.array([w.end_s for w in wins])
+        label = np.array([w.label for w in wins], dtype=int)
+        lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
+        rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
+        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, spec.size_s)
+        keep = ~reasons.any(axis=1)
+        if not keep.all():
+            # Each dropped window counts once, under its first reason.
+            first = Counter(hrv.DROP_REASONS[j] for j in reasons[~keep].argmax(axis=1))
+            log.info("subject %s: dropped %d unusable windows (%s)", trace.subject_id,
+                     np.count_nonzero(~keep),
+                     ", ".join(f"{r}: {c}" for r, c in sorted(first.items())))
+        if len(set(label[keep])) < 2:
             raise DataError(
                 f"subject {trace.subject_id} has no usable windows in both classes")
-    return FeatureMatrix(tuple(subjects), np.array(labels), np.array(starts),
-                         np.array(rows), hrv.FEATURE_NAMES)
+        subjects += [trace.subject_id] * np.count_nonzero(keep)
+        labels.append(label[keep])
+        starts.append(start[keep])
+        rows.append(X[keep])
+    return FeatureMatrix(tuple(subjects), np.concatenate(labels),
+                         np.concatenate(starts), np.vstack(rows), hrv.FEATURE_NAMES)
 
 
 @dataclass(frozen=True)

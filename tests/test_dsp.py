@@ -116,6 +116,15 @@ class TestWelch:
         psd = dsp.welch_psd(np.random.default_rng(2).normal(size=2048), 4.0, 128)
         assert np.all(psd.power >= 0)
 
+    def test_stack_rows_match_single_calls(self):
+        x = np.random.default_rng(3).normal(size=(5, 700))
+        psd = dsp.welch_psd(x, 4.0, 256)
+        assert psd.power.shape == (5, len(psd.freqs))
+        for row, power in zip(x, psd.power):
+            np.testing.assert_array_equal(power, dsp.welch_psd(row, 4.0, 256).power)
+
     def test_short_sequence_rejected(self):
         with pytest.raises(DataError):
             dsp.welch_psd(np.ones(100), 4.0, 256)
+        with pytest.raises(DataError):
+            dsp.welch_psd(np.ones((3, 100)), 4.0, 256)

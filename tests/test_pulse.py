@@ -87,6 +87,16 @@ class TestSliceWindow:
         np.testing.assert_allclose(w.rr_times_s, [2.0, 3.0])
         assert len(w.rr_ms) == 2
 
+    def test_bounds_match_half_open_masks(self):
+        rng = np.random.default_rng(0)
+        times = np.sort(rng.choice(np.arange(0.0, 100.0, 0.5), 120, replace=False))
+        starts = rng.choice(np.arange(-5.0, 105.0, 0.5), 50)
+        ends = starts + rng.choice([0.0, 0.5, 7.0, 30.0], 50)
+        lo, hi = pulse.window_bounds(times, starts, ends)
+        for s, e, a, b in zip(starts, ends, lo, hi):
+            inside = np.flatnonzero((times >= s) & (times < e))
+            np.testing.assert_array_equal(inside, np.arange(a, b))
+
 
 class TestCondMeanRecovery:
     def test_mean_hr_within_1bpm(self):

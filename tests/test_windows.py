@@ -38,6 +38,16 @@ class TestSegment:
         trace = io.PpgTrace("s1", 100.0, np.zeros(7000), spans)
         assert windows.segment(trace, windows.WindowSpec(80.0, 5.0)) == []
 
+    def test_starts_do_not_drift(self):
+        spans = (io.ConditionSpan(0.0, 1500.0, io.Condition.RELAXING),
+                 io.ConditionSpan(1500.0, 3000.0, io.Condition.STRESSFUL))
+        trace = io.PpgTrace("s1", 25.0, np.zeros(3000 * 25), spans)
+        wins = windows.segment(trace, windows.WindowSpec(60.0, 0.1))
+        for span in spans:
+            starts = [w.start_s for w in wins if w.label == span.condition.value]
+            assert len(starts) == int((1500.0 - 60.0) / 0.1) + 1
+            assert starts == [span.start_s + i * 0.1 for i in range(len(starts))]
+
     def test_never_straddles_boundary(self):
         trace = make_trace(840)
         for w in windows.segment(trace, windows.WindowSpec(80.0, 5.0)):
@@ -177,5 +187,7 @@ class TestCsvRoundTrip:
         assert header.startswith("subject,label,start_s,MeanNN,")
         back = windows.FeatureMatrix.from_csv(path)
         assert back.columns == matrix16.columns
-        np.testing.assert_allclose(back.X, matrix16.X, rtol=1e-9)
+        np.testing.assert_array_equal(back.X, matrix16.X)
+        np.testing.assert_array_equal(back.starts, matrix16.starts)
+        np.testing.assert_array_equal(back.labels, matrix16.labels)
         assert back.subjects == matrix16.subjects
