@@ -115,7 +115,8 @@ def test_degraded_windows_match_scalar_reference(size):
     firsts = Counter(reason for _, reason in outcomes)
     assert {"data_error", "too_many_rejected_intervals", "hf_zero", ""} <= set(firsts)
     # The first interval ending after 150 s still began in the random stretch.
-    constant = [i for i, w in enumerate(wins) if 152.0 <= w.start_s and w.end_s <= 260.0]
+    constant = [i for i, w in enumerate(wins)
+                if 152.0 <= w.start_s and w.end_s <= 260.0]
     assert constant and np.all(reasons[constant, 2:])
 
     m = windows.build_matrix(ds, spec, prepared={"d1": rr})
@@ -183,7 +184,8 @@ def test_order_statistics_match_numpy():
     rng = np.random.default_rng(4)
     rows = [rng.lognormal(6.5, 3.0, int(rng.integers(4, 60))) for _ in range(2000)]
     S, n = sorted_rows(rows)
-    np.testing.assert_array_equal(hrv._sorted_median(S, n), [np.median(r) for r in rows])
+    np.testing.assert_array_equal(hrv._sorted_median(S, n),
+                                  [np.median(r) for r in rows])
     for q in (0.25, 0.75):
         np.testing.assert_array_equal(hrv._sorted_percentile(S, n, q),
                                       [np.percentile(r, 100 * q) for r in rows])
