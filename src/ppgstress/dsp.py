@@ -89,8 +89,11 @@ def welch_psd(x, fs: float, segment_len: int, overlap_frac: float = 0.5) -> Psd:
     """Hann-windowed, per-segment mean-removed averaged periodogram.
 
     `x` is one sequence or a (rows, n) stack of them, which gives one power
-    row per sequence. Density normalization: the integral over [0, fs/2]
-    approximates the signal variance (within windowing bias, roughly +-10%).
+    row per sequence. As in scipy.signal.welch, segments start every
+    `segment_len - int(segment_len * overlap_frac)` samples and trailing
+    samples that fill no segment are unused. Density normalization: the
+    integral over [0, fs/2] approximates the signal variance (within
+    windowing bias, roughly +-10%).
     """
     x = np.asarray(x, dtype=float)
     if segment_len < 8:
@@ -100,8 +103,14 @@ def welch_psd(x, fs: float, segment_len: int, overlap_frac: float = 0.5) -> Psd:
     if x.shape[-1] < segment_len:
         raise DataError(f"sequence of {x.shape[-1]} samples shorter than one "
                         f"segment ({segment_len})")
-    freqs, power = signal.welch(
-        x, fs=fs, window="hann", nperseg=segment_len,
-        noverlap=int(segment_len * overlap_frac), detrend="constant",
-        scaling="density")
-    return Psd(freqs, power)
+    hop = segment_len - int(segment_len * overlap_frac)
+    segs = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)
+    segs = segs[..., ::hop, :]
+    win = signal.get_window("hann", segment_len)
+    spec = np.fft.rfft((segs - segs.mean(axis=-1, keepdims=True)) * win, axis=-1)
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    power = power.mean(axis=-2) / (fs * (win * win).sum())
+    # One-sided: every bin but 0 Hz and an even length's fs/2 holds its mirror.
+    power[..., 1:(segment_len + 1) // 2] *= 2
+    return Psd(np.fft.rfftfreq(segment_len, 1 / fs), power)

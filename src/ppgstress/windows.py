@@ -134,8 +134,8 @@ def prepare_trace(trace: PpgTrace, config: PipelineConfig) -> pulse.RrSeries:
 def build_matrix(ds: Dataset, spec: WindowSpec,
                  config: PipelineConfig = PipelineConfig(),
                  prepared: dict[str, pulse.RrSeries] | None = None) -> FeatureMatrix:
-    """filtfilt -> peaks -> RR -> HRV features of all windows, one batched
-    pass per trace.
+    """filtfilt -> peaks -> RR -> HRV features of all windows, one
+    `hrv.window_features` call per trace.
 
     Unusable windows are dropped (logged per reason); a subject left without
     both classes is an error.

@@ -88,8 +88,11 @@ def degraded_dataset(rr: pulse.RrSeries) -> io.Dataset:
     return io.Dataset((io.PpgTrace("d1", 25.0, np.zeros(int(610 * 25)), spans),))
 
 
+# Batches of 5 split runs of refused and flagged windows at many places.
+@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
 @pytest.mark.parametrize("size", [60.0, 62.0, 80.0])
-def test_degraded_windows_match_scalar_reference(size):
+def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
+    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
     rr = degraded_rr()
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)

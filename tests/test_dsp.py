@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from ppgstress import dsp
 from ppgstress.errors import DataError, ValidationError
@@ -122,6 +123,19 @@ class TestWelch:
         assert psd.power.shape == (5, len(psd.freqs))
         for row, power in zip(x, psd.power):
             np.testing.assert_array_equal(power, dsp.welch_psd(row, 4.0, 256).power)
+
+    # Odd and even lengths, one segment to many, leftover samples, 0.3 overlap.
+    @pytest.mark.parametrize("seg,n,overlap", [(237, 237, 0.5), (240, 479, 0.5),
+                                               (256, 384, 0.5), (256, 1000, 0.5),
+                                               (251, 900, 0.3)])
+    def test_matches_scipy_welch(self, seg, n, overlap):
+        x = np.random.default_rng(seg + n).normal(800.0, 50.0, (4, n))
+        psd = dsp.welch_psd(x, 4.0, seg, overlap)
+        freqs, power = signal.welch(x, fs=4.0, window="hann", nperseg=seg,
+                                    noverlap=int(seg * overlap),
+                                    detrend="constant", scaling="density")
+        np.testing.assert_array_equal(psd.freqs, freqs)
+        np.testing.assert_allclose(psd.power, power, rtol=0, atol=1e-12 * power.max())
 
     def test_short_sequence_rejected(self):
         with pytest.raises(DataError):
