@@ -109,8 +109,10 @@ def _cmd_features(args) -> int:
 def _cmd_eval(args) -> int:
     ds = _load_data(args)
     spec = windows.WindowSpec(args.window, args.step)
+    matrix = windows.build_matrix(ds, spec)
     for kind in args.model or ["lda"]:
-        report = evaluate.loso(ds, spec, args.k, kind, args.seed)
+        report = evaluate.loso_matrix(matrix, args.k, kind, args.seed,
+                                      evaluate.window_echo(spec))
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             (args.out / f"cv_report_{kind}.json").write_text(report.to_json() + "\n")
@@ -124,7 +126,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [float(s) for s in str(args.sizes).split(",") if s]
+    try:
+        sizes = [float(s) for s in str(args.sizes).split(",") if s]
+    except ValueError:
+        raise ValidationError(
+            f"--sizes must be comma-separated numbers, got {args.sizes!r}") from None
+    if not sizes:
+        raise ValidationError(f"--sizes names no window size: {args.sizes!r}")
     for s in sizes:
         if s < 60.0:
             raise ValidationError(

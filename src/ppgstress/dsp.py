@@ -43,7 +43,9 @@ def design_butter_bandpass(order: int, low_hz: float, high_hz: float,
         poles = np.roots([1.0, sec[4], sec[5]])
         if np.any(np.abs(poles) >= 1.0):
             raise DataError(
-                f"unstable section in order-{order} design at fs={fs}; reduce order")
+                f"unstable section in order-{order} design for {low_hz:g}-"
+                f"{high_hz:g} Hz at fs={fs}; reduce the order or move the "
+                "edges away from 0 and fs/2")
     return BiquadCascade(sos, order, low_hz, high_hz, fs)
 
 

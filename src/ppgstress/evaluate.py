@@ -105,14 +105,18 @@ def loso_matrix(matrix: FeatureMatrix, k: int = 35, model_kind: str = "lda",
                     pooled_correct / pooled_total, cfg)
 
 
+def window_echo(spec: WindowSpec) -> dict:
+    """The window settings a LOSO report's config echoes."""
+    return {"window_s": spec.size_s, "step_s": spec.step_s}
+
+
 def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = 35,
          model_kind: str = "lda", seed: int = 0,
          config: PipelineConfig = PipelineConfig(),
          prepared=None) -> CvReport:
     """Build the feature matrix for the dataset and run strict LOSO."""
     matrix = build_matrix(ds, spec, config, prepared)
-    echo = {"window_s": spec.size_s, "step_s": spec.step_s}
-    return loso_matrix(matrix, k, model_kind, seed, echo)
+    return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
 
 
 def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 
-# Floats in on-disk CSV/JSON carry at least 9 significant digits so a
-# save/load round trip is value-preserving.
+# Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
+# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP 4a).
 FLOAT_FMT = "%.12g"
 
 

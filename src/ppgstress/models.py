@@ -6,7 +6,6 @@ probability doubles as a 0.0-1.0 stress level for adaptive consumers.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .hrv import CATALOG_VERSION
-from .windows import Scaler
 
 MODEL_KINDS = ("lda", "knn", "sgd")
 
@@ -31,10 +28,7 @@ def _check_two_classes(y: np.ndarray):
 
 @dataclass(frozen=True)
 class LdaModel:
-    means: np.ndarray       # (2, d)
-    covariance: np.ndarray  # pooled within-class, ridged
-    priors: np.ndarray      # (2,)
-    weights: np.ndarray     # (d,)
+    weights: np.ndarray  # (d,)
     bias: float
 
     def decision(self, X: np.ndarray) -> np.ndarray:
@@ -64,7 +58,7 @@ def lda_fit(X, y, ridge: float = 1e-6) -> LdaModel:
         raise DataError("pooled covariance singular even after ridge") from None
     priors = np.array([np.mean(y == 0), np.mean(y == 1)])
     b = -0.5 * float((means[0] + means[1]) @ w) + math.log(priors[1] / priors[0])
-    return LdaModel(means, cov, priors, w, b)
+    return LdaModel(w, b)
 
 
 @dataclass(frozen=True)
@@ -139,88 +133,8 @@ def sgd_logistic_fit(X, y, lr0: float = 0.01, decay: float = 1e-4,
     return SgdModel(w, b, tuple(losses))
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    """A fitted classifier bundled with its scaler and selected features."""
-
-    kind: str
-    model: object
-    scaler: Scaler
-    feature_names: tuple[str, ...]
-    catalog_version: str = CATALOG_VERSION
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}; "
-                                  f"expected one of {MODEL_KINDS}")
-        if self.feature_names != self.scaler.columns:
-            raise ValidationError("feature names do not match the scaler's columns")
-
-    def predict_proba_matrix(self, X_scaled: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X_scaled)
-
-    def predict_proba(self, features: dict[str, float]) -> float:
-        """Stress probability for one raw (unscaled) feature mapping."""
-        missing = [n for n in self.feature_names if n not in features]
-        if missing:
-            raise ValidationError(f"missing features: {', '.join(missing)}")
-        x = np.array([[features[n] for n in self.feature_names]])
-        return float(self.model.predict_proba(self.scaler.transform(x))[0])
-
-
 def stress_level(p_stress: float) -> float:
     """Probability -> one-decimal stress level, rounding half away from zero."""
     if not 0.0 <= p_stress <= 1.0:
         raise ValidationError(f"probability out of [0,1]: {p_stress}")
     return math.floor(p_stress * 10.0 + 0.5) / 10.0
-
-
-def save_model(tm: TrainedModel, path) -> None:
-    doc = {
-        "kind": tm.kind,
-        "catalog_version": tm.catalog_version,
-        "feature_names": list(tm.feature_names),
-        "scaler": {"columns": list(tm.scaler.columns),
-                   "mean": tm.scaler.mean.tolist(),
-                   "std": tm.scaler.std.tolist(),
-                   "dropped": list(tm.scaler.dropped)},
-    }
-    m = tm.model
-    if tm.kind == "lda":
-        doc["params"] = {"means": m.means.tolist(),
-                         "covariance": m.covariance.tolist(),
-                         "priors": m.priors.tolist(),
-                         "weights": m.weights.tolist(), "bias": m.bias}
-    elif tm.kind == "knn":
-        doc["params"] = {"X": m.X.tolist(), "y": m.y.tolist(), "k": m.k}
-    else:
-        doc["params"] = {"weights": m.weights.tolist(), "bias": m.bias,
-                         "loss_per_epoch": list(m.loss_per_epoch)}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
-def load_model(path) -> TrainedModel:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("catalog_version") != CATALOG_VERSION:
-        raise ValidationError(
-            f"model catalog version {doc.get('catalog_version')!r} does not match "
-            f"this package's catalog version {CATALOG_VERSION!r}")
-    p = doc["params"]
-    kind = doc["kind"]
-    if kind == "lda":
-        model = LdaModel(np.array(p["means"]), np.array(p["covariance"]),
-                         np.array(p["priors"]), np.array(p["weights"]), p["bias"])
-    elif kind == "knn":
-        model = KnnModel(np.array(p["X"]), np.array(p["y"]), p["k"])
-    elif kind == "sgd":
-        model = SgdModel(np.array(p["weights"]), p["bias"],
-                         tuple(p["loss_per_epoch"]))
-    else:
-        raise ValidationError(f"unknown model kind in {path}: {kind!r}")
-    s = doc["scaler"]
-    scaler = Scaler(tuple(s["columns"]), np.array(s["mean"]), np.array(s["std"]),
-                    tuple(s["dropped"]))
-    return TrainedModel(kind, model, scaler, tuple(doc["feature_names"]))

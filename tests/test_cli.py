@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from ppgstress import cli
+import ppgstress
+from ppgstress import cli, evaluate, io, windows
 
 
 def run(capsys, *argv):
@@ -82,6 +84,27 @@ class TestEval:
         assert (out / "cv_report_lda.json").exists()
         assert (out / "cv_report_knn.json").exists()
 
+    def test_matrix_built_once_for_all_models(self, small_manifest, tmp_path,
+                                              capsys, monkeypatch):
+        calls = []
+        build = windows.build_matrix
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(windows, "build_matrix", counting_build)
+        out = tmp_path / "reports"
+        code, _, _ = run(capsys, "eval", "--manifest", str(small_manifest),
+                         "--model", "lda", "--model", "knn", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1
+        ds = io.load_dataset(small_manifest)
+        for kind in ("lda", "knn"):
+            expected = evaluate.loso(ds, windows.WindowSpec(), 35, kind, 0)
+            assert (out / f"cv_report_{kind}.json").read_bytes() \
+                == (expected.to_json() + "\n").encode()
+
     def test_unknown_model_usage_error(self, small_manifest, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--manifest", str(small_manifest),
@@ -112,6 +135,17 @@ class TestSweep:
                            "--sizes", "40", "--out", str(tmp_path / "s.csv"))
         assert code == 1
         assert "60 s" in err
+
+
+    @pytest.mark.parametrize("sizes", ["60,abc", ","])
+    def test_bad_size_list_refused(self, sizes, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        # --synth with no cohort built: the list is refused before any data
+        code, _, err = run(capsys, "sweep", "--synth", "--sizes", sizes,
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "--sizes" in err
+        assert not out.exists()
 
 
 class TestSuds:
@@ -149,3 +183,21 @@ class TestCatalog:
         assert len(doc["features"]) == 27
         assert {"name", "domain", "unit", "formula"} \
             <= set(doc["features"][0])
+
+
+def test_public_surface_pinned():
+    assert sorted(ppgstress.__all__) == [
+        "CATALOG", "CATALOG_VERSION", "Condition", "ConditionSpan",
+        "DataError", "Dataset", "FEATURE_NAMES", "FeatureMatrix",
+        "PipelineConfig", "PipelineError", "PpgTrace", "SudsRating",
+        "SynthCohortSpec", "ValidationError", "WindowSpec", "all_features",
+        "build_matrix", "load_dataset", "loso", "mann_whitney_u",
+        "save_dataset", "segment", "stress_level", "suds_report",
+        "sweep_windows", "synth_cohort", "synth_ppg"]
+    for name in ppgstress.__all__:
+        assert getattr(ppgstress, name) is not None
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    commands = {"synth", "features", "eval", "sweep", "suds", "catalog"}
+    assert set(sub.choices) == commands
+    assert set(cli._COMMANDS) == commands

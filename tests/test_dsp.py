@@ -42,6 +42,13 @@ class TestDesign:
         for sec in cascade.sos:
             assert np.all(np.abs(np.roots([1.0, sec[4], sec[5]])) < 1.0)
 
+    @pytest.mark.parametrize("order,low", [(3, 1e-8), (12, 1e-6)])
+    def test_unstable_design_near_dc_refused(self, order, low):
+        # Valid edges, but scipy's sections put a pole just outside the
+        # unit circle (|p| - 1 is about 1e-8 at fs = 2000 Hz).
+        with pytest.raises(DataError, match=f"order-{order}.*{low:g}-8 Hz"):
+            dsp.design_butter_bandpass(order, low, 8.0, 2000.0)
+
 
 class TestFiltfilt:
     def test_passband_tone_amplitude_and_lag(self, cascade):

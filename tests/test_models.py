@@ -3,7 +3,6 @@ import pytest
 
 from ppgstress import models
 from ppgstress.errors import DataError, ValidationError
-from ppgstress.windows import Scaler
 
 
 def gaussian_clouds(seed=0, sep=2.0, sigma=0.5, n=200, d=1):
@@ -127,51 +126,3 @@ class TestStressLevel:
         assert p + (1 - p) == 1.0
         assert models.stress_level(p) + models.stress_level(1 - p) \
             == pytest.approx(1.0)
-
-
-def fitted_bundle(seed=0):
-    X, y = gaussian_clouds(seed=seed, d=2)
-    mean, std = X.mean(axis=0), X.std(axis=0, ddof=1)
-    scaler = Scaler(("MeanNN", "SDNN"), mean, std)
-    model = models.lda_fit((X - mean) / std, y)
-    return models.TrainedModel("lda", model, scaler, ("MeanNN", "SDNN")), X, y
-
-
-class TestTrainedModel:
-    def test_predict_from_raw_features(self):
-        tm, X, y = fitted_bundle()
-        p = tm.predict_proba({"MeanNN": X[-1, 0], "SDNN": X[-1, 1],
-                              "extra": 1.0})
-        assert p > 0.5
-
-    def test_missing_feature(self):
-        tm, _, _ = fitted_bundle()
-        with pytest.raises(ValidationError, match="SDNN"):
-            tm.predict_proba({"MeanNN": 1.0})
-
-    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
-    def test_save_load_round_trip(self, kind, tmp_path):
-        X, y = gaussian_clouds(seed=3, d=2)
-        scaler = Scaler(("a", "b"), X.mean(axis=0), X.std(axis=0, ddof=1))
-        Xs = scaler.transform(X)
-        model = {"lda": lambda: models.lda_fit(Xs, y),
-                 "knn": lambda: models.knn_fit(Xs, y),
-                 "sgd": lambda: models.sgd_logistic_fit(Xs, y, seed=1)}[kind]()
-        tm = models.TrainedModel(kind, model, scaler, ("a", "b"))
-        path = tmp_path / "model.json"
-        models.save_model(tm, path)
-        back = models.load_model(path)
-        probe = {"a": 0.3, "b": -1.2}
-        assert back.predict_proba(probe) == pytest.approx(
-            tm.predict_proba(probe), rel=1e-12)
-
-    def test_catalog_version_mismatch(self, tmp_path):
-        import json
-        tm, _, _ = fitted_bundle()
-        path = tmp_path / "model.json"
-        models.save_model(tm, path)
-        doc = json.loads(path.read_text())
-        doc["catalog_version"] = "999"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="catalog version"):
-            models.load_model(path)
