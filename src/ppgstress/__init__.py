@@ -11,8 +11,7 @@ from .hrv import CATALOG, CATALOG_VERSION, FEATURE_NAMES, all_features
 from .io import (Condition, ConditionSpan, Dataset, PpgTrace, SudsRating,
                  SynthCohortSpec, load_dataset, save_dataset, synth_cohort,
                  synth_ppg)
-from .windows import (FeatureMatrix, PipelineConfig, WindowSpec, build_matrix,
-                      segment)
+from .windows import FeatureMatrix, WindowSpec, build_matrix, segment
 from .evaluate import loso, mann_whitney_u, suds_report, sweep_windows
 from .models import stress_level
 
@@ -20,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG", "CATALOG_VERSION", "Condition", "ConditionSpan", "DataError",
-    "Dataset", "FEATURE_NAMES", "FeatureMatrix", "PipelineConfig",
-    "PipelineError", "PpgTrace", "SudsRating", "SynthCohortSpec",
-    "ValidationError", "WindowSpec", "all_features", "build_matrix",
-    "load_dataset", "loso", "mann_whitney_u", "save_dataset", "segment",
-    "stress_level", "suds_report", "sweep_windows", "synth_cohort", "synth_ppg",
+    "Dataset", "FEATURE_NAMES", "FeatureMatrix", "PipelineError", "PpgTrace",
+    "SudsRating", "SynthCohortSpec", "ValidationError", "WindowSpec",
+    "all_features", "build_matrix", "load_dataset", "loso", "mann_whitney_u",
+    "save_dataset", "segment", "stress_level", "suds_report", "sweep_windows",
+    "synth_cohort", "synth_ppg",
 ]

@@ -19,15 +19,19 @@ def _add_data_source(p: argparse.ArgumentParser):
     p.add_argument("--manifest", type=Path, help="dataset manifest.json path")
     p.add_argument("--synth", action="store_true",
                    help="use a synthetic cohort instead of a manifest")
-    p.add_argument("--subjects", type=int, default=16,
+    p.add_argument("--subjects", type=int, default=io.SynthCohortSpec.n_subjects,
                    help="synthetic cohort size (with --synth)")
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--window", type=float, default=80.0, help="window size, seconds")
-    p.add_argument("--step", type=float, default=5.0, help="window hop, seconds")
-    p.add_argument("--k", type=int, default=35, help="features kept by ANOVA-F")
+def _add_pipeline_flags(p: argparse.ArgumentParser, window: bool = True):
+    if window:
+        p.add_argument("--window", type=float, default=windows.WindowSpec.size_s,
+                       help="window size, seconds")
+    p.add_argument("--step", type=float, default=windows.WindowSpec.step_s,
+                   help="window hop, seconds")
+    p.add_argument("--k", type=int, default=evaluate.DEFAULT_K,
+                   help="features kept by ANOVA-F")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,12 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic cohort to disk")
-    p.add_argument("--subjects", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fs", type=float, default=100.0)
-    p.add_argument("--span", type=float, default=420.0,
+    p.add_argument("--subjects", type=int, default=io.SynthCohortSpec.n_subjects)
+    p.add_argument("--seed", type=int, default=io.SynthCohortSpec.seed)
+    p.add_argument("--fs", type=float, default=io.SynthCohortSpec.fs)
+    p.add_argument("--span", type=float, default=io.SynthCohortSpec.span_s,
                    help="seconds per condition span")
-    p.add_argument("--noise", type=float, default=0.02)
+    p.add_argument("--noise", type=float, default=io.SynthCohortSpec.noise_sigma)
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("features", help="extract the feature matrix to CSV")
@@ -59,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="window-size sweep to CSV")
     _add_data_source(p)
-    p.add_argument("--sizes", default="60,70,80,90,100,110,120",
+    sizes = ",".join(f"{s:g}" for s in windows.DEFAULT_SWEEP_SIZES)
+    p.add_argument("--sizes", default=sizes,
                    help="comma-separated window sizes in seconds")
-    p.add_argument("--step", type=float, default=5.0)
-    p.add_argument("--k", type=int, default=35)
+    _add_pipeline_flags(p, window=False)
     p.add_argument("--model", choices=models.MODEL_KINDS, default="lda")
     p.add_argument("--out", type=Path, required=True)
 
@@ -80,15 +84,11 @@ def _load_data(args) -> io.Dataset:
         raise ValidationError("specify exactly one of --manifest and --synth")
     if args.manifest:
         return io.load_dataset(args.manifest)
-    if args.subjects < 1:
-        raise ValidationError("--subjects must be >= 1")
     return io.synth_cohort(io.SynthCohortSpec(n_subjects=args.subjects,
                                               seed=args.seed))
 
 
 def _cmd_synth(args) -> int:
-    if args.subjects < 1:
-        raise ValidationError("--subjects must be >= 1")
     spec = io.SynthCohortSpec(n_subjects=args.subjects, fs=args.fs,
                               span_s=args.span, noise_sigma=args.noise,
                               seed=args.seed)
@@ -98,18 +98,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    ds = _load_data(args)
     spec = windows.WindowSpec(args.window, args.step)
-    matrix = windows.build_matrix(ds, spec)
+    matrix = windows.build_matrix(_load_data(args), spec)
     matrix.to_csv(args.out)
     print(f"{args.out}: {matrix.n_rows} rows x {len(matrix.columns)} features")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    ds = _load_data(args)
     spec = windows.WindowSpec(args.window, args.step)
-    matrix = windows.build_matrix(ds, spec)
+    matrix = windows.build_matrix(_load_data(args), spec)
     for kind in args.model or ["lda"]:
         report = evaluate.loso_matrix(matrix, args.k, kind, args.seed,
                                       evaluate.window_echo(spec))
@@ -134,9 +132,7 @@ def _cmd_sweep(args) -> int:
     if not sizes:
         raise ValidationError(f"--sizes names no window size: {args.sizes!r}")
     for s in sizes:
-        if s < 60.0:
-            raise ValidationError(
-                f"window size {s:g} s is below the 60 s spectral floor")
+        windows.WindowSpec(s, args.step)
     ds = _load_data(args)
     rows = evaluate.sweep_windows(ds, sizes, args.step, args.k, args.model,
                                   args.seed)

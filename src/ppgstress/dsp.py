@@ -87,25 +87,27 @@ class Psd:
             raise ValidationError("PSD grid must start at 0 and strictly increase")
 
 
-def welch_psd(x, fs: float, segment_len: int, overlap_frac: float = 0.5) -> Psd:
+def welch_hop(segment_len):
+    """Samples between Welch segment starts: half overlap, as scipy's default."""
+    return segment_len - segment_len // 2
+
+
+def welch_psd(x, fs: float, segment_len: int) -> Psd:
     """Hann-windowed, per-segment mean-removed averaged periodogram.
 
     `x` is one sequence or a (rows, n) stack of them, which gives one power
     row per sequence. As in scipy.signal.welch, segments start every
-    `segment_len - int(segment_len * overlap_frac)` samples and trailing
-    samples that fill no segment are unused. Density normalization: the
-    integral over [0, fs/2] approximates the signal variance (within
-    windowing bias, roughly +-10%).
+    `welch_hop(segment_len)` samples and trailing samples that fill no
+    segment are unused. Density normalization: the integral over [0, fs/2]
+    approximates the signal variance (within windowing bias, roughly +-10%).
     """
     x = np.asarray(x, dtype=float)
     if segment_len < 8:
         raise ValidationError(f"segment_len must be >= 8, got {segment_len}")
-    if not 0 <= overlap_frac < 1:
-        raise ValidationError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
     if x.shape[-1] < segment_len:
         raise DataError(f"sequence of {x.shape[-1]} samples shorter than one "
                         f"segment ({segment_len})")
-    hop = segment_len - int(segment_len * overlap_frac)
+    hop = welch_hop(segment_len)
     segs = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)
     segs = segs[..., ::hop, :]
     win = signal.get_window("hann", segment_len)

@@ -13,11 +13,12 @@ from scipy.stats import rankdata
 from . import models
 from .errors import DataError, ValidationError
 from .io import Dataset
-from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, PipelineConfig,
-                      WindowSpec, anova_f, build_matrix, prepare_trace,
-                      select_top_k, standardize)
+from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, anova_f,
+                      build_matrix, prepare_trace, select_top_k, standardize)
 
 EXACT_U_CAP = 16
+# Features kept by the per-fold ANOVA-F selection.
+DEFAULT_K = 35
 
 
 def metrics(y_true, y_pred) -> tuple[float, dict[str, int]]:
@@ -50,14 +51,14 @@ class CvReport:
     folds: tuple[FoldResult, ...]
     mean_accuracy: float      # mean over subjects (headline figure)
     pooled_accuracy: float    # over all windows pooled
-    config: dict
+    settings: dict            # echoed under "config"
 
     def to_json(self) -> str:
         return json.dumps({
             "folds": [asdict(f) for f in self.folds],
             "mean_accuracy": self.mean_accuracy,
             "pooled_accuracy": self.pooled_accuracy,
-            "config": self.config,
+            "config": self.settings,
         }, indent=2)
 
 
@@ -72,7 +73,7 @@ def _fit(kind: str, X, y, seed: int):
                           f"{models.MODEL_KINDS}")
 
 
-def loso_matrix(matrix: FeatureMatrix, k: int = 35, model_kind: str = "lda",
+def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",
                 seed: int = 0, config_echo: dict | None = None) -> CvReport:
     """Strict LOSO over a prebuilt feature matrix.
 
@@ -110,12 +111,10 @@ def window_echo(spec: WindowSpec) -> dict:
     return {"window_s": spec.size_s, "step_s": spec.step_s}
 
 
-def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = 35,
-         model_kind: str = "lda", seed: int = 0,
-         config: PipelineConfig = PipelineConfig(),
-         prepared=None) -> CvReport:
+def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
+         model_kind: str = "lda", seed: int = 0, prepared=None) -> CvReport:
     """Build the feature matrix for the dataset and run strict LOSO."""
-    matrix = build_matrix(ds, spec, config, prepared)
+    matrix = build_matrix(ds, spec, prepared)
     return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
 
 
@@ -130,15 +129,15 @@ def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
                          matrix.columns)
 
 
-def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES, step_s: float = 5.0,
-                  k: int = 35, model_kind: str = "lda", seed: int = 0,
-                  config: PipelineConfig = PipelineConfig()) -> list[dict]:
+def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
+                  step_s: float = WindowSpec.step_s, k: int = DEFAULT_K,
+                  model_kind: str = "lda", seed: int = 0) -> list[dict]:
     """One LOSO run per window size; rows for the sweep CSV."""
-    prepared = {t.subject_id: prepare_trace(t, config) for t in ds}
+    prepared = {t.subject_id: prepare_trace(t) for t in ds}
     rows = []
     for size in sizes:
         spec = WindowSpec(float(size), step_s)
-        rep = loso(ds, spec, k, model_kind, seed, config, prepared)
+        rep = loso(ds, spec, k, model_kind, seed, prepared)
         rows.append({"window_s": float(size),
                      "mean_accuracy": rep.mean_accuracy,
                      "pooled_accuracy": rep.pooled_accuracy})

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import welch_psd
+from .dsp import welch_hop, welch_psd
 from .errors import DataError
 from .pulse import RrSeries
 
@@ -268,8 +268,8 @@ def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
     del grid  # not held through the Welch calls
     tach -= (tach.sum(axis=1, where=k < length[:, None]) / length)[:, None]
     seg = np.minimum(WELCH_SEGMENT, length)
-    hop = seg - seg // 2
-    used = seg + ((length - seg // 2) // hop - 1) * hop
+    hop = welch_hop(seg)
+    used = seg + (length - seg) // hop * hop
     bands = np.empty((lo.size, 3))
     for s, u in set(zip(seg.tolist(), used.tolist())):
         rows = np.flatnonzero((seg == s) & (used == u))

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import DataError, ValidationError
 
 MODEL_KINDS = ("lda", "knn", "sgd")
+LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
+SGD_LR0 = 0.01  # learning rate lr_t = SGD_LR0 / (1 + t * SGD_DECAY)
+SGD_DECAY = 1e-4
+SGD_L2 = 1e-4  # weight of the L2 penalty
 
 
 def _sigmoid(z):
@@ -39,8 +43,8 @@ class LdaModel:
         return _sigmoid(self.decision(X))
 
 
-def lda_fit(X, y, ridge: float = 1e-6) -> LdaModel:
-    """Pooled-covariance LDA with a ridge of ridge * trace(cov)/d on the diagonal."""
+def lda_fit(X, y) -> LdaModel:
+    """Pooled-covariance LDA; LDA_RIDGE * trace(cov)/d is added to the diagonal."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     _check_two_classes(y)
@@ -51,7 +55,7 @@ def lda_fit(X, y, ridge: float = 1e-6) -> LdaModel:
     means = np.stack([X[y == g].mean(axis=0) for g in (0, 1)])
     centered = X - means[y]
     cov = centered.T @ centered / (n - 2)
-    cov = cov + np.eye(d) * ridge * np.trace(cov) / d
+    cov = cov + np.eye(d) * LDA_RIDGE * np.trace(cov) / d
     try:
         w = np.linalg.solve(cov, means[1] - means[0])
     except np.linalg.LinAlgError:
@@ -100,9 +104,8 @@ class SgdModel:
         return _sigmoid(self.decision(X))
 
 
-def sgd_logistic_fit(X, y, lr0: float = 0.01, decay: float = 1e-4,
-                     epochs: int = 50, l2: float = 1e-4, seed: int = 0) -> SgdModel:
-    """Logistic loss, per-sample gradient steps, lr_t = lr0 / (1 + t*decay).
+def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0) -> SgdModel:
+    """L2-penalised logistic loss, per-sample gradient steps, decaying rate.
 
     Seeded shuffling each epoch makes the fit bit-reproducible.
     """
@@ -113,6 +116,7 @@ def sgd_logistic_fit(X, y, lr0: float = 0.01, decay: float = 1e-4,
     w = np.zeros(d)
     b = 0.0
     rng = np.random.default_rng(seed)
+    lr0, decay, l2 = SGD_LR0, SGD_DECAY, SGD_L2  # locals for the per-sample loop
     t = 0
     losses = []
     for epoch in range(epochs):

@@ -28,12 +28,15 @@ class RrSeries:
     peak_times_s: np.ndarray
     rr_ms: np.ndarray
     rr_times_s: np.ndarray  # terminating peak time of each retained interval
-    n_rejected: int
     rejected_times_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if np.any(np.diff(self.peak_times_s) <= 0):
             raise DataError("peak times must be strictly increasing")
+
+    @property
+    def n_rejected(self) -> int:
+        return self.rejected_times_s.size
 
 
 def _moving_average(y: np.ndarray, width_s: float, fs: float) -> np.ndarray:
@@ -100,7 +103,7 @@ def to_rr(peak_times_s) -> RrSeries:
     ok = (rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)
     if np.count_nonzero(ok) < 2:
         raise DataError("insufficient beats: fewer than 2 intervals survive screening")
-    return RrSeries(peaks, rr[ok], times[ok], int(np.count_nonzero(~ok)), times[~ok])
+    return RrSeries(peaks, rr[ok], times[ok], times[~ok])
 
 
 def window_bounds(times_s: np.ndarray, start_s, end_s) -> tuple:
@@ -115,4 +118,4 @@ def slice_window(rr: RrSeries, start_s: float, end_s: float) -> RrSeries:
         window_bounds(times, start_s, end_s)
         for times in (rr.peak_times_s, rr.rr_times_s, rr.rejected_times_s))
     return RrSeries(rr.peak_times_s[p0:p1], rr.rr_ms[r0:r1], rr.rr_times_s[r0:r1],
-                    int(j1 - j0), rr.rejected_times_s[j0:j1])
+                    rr.rejected_times_s[j0:j1])

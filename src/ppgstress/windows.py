@@ -16,6 +16,9 @@ from .io import Dataset, PpgTrace
 log = logging.getLogger(__name__)
 
 DEFAULT_SWEEP_SIZES = (60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0)
+# The paper's band-pass: 3rd-order Butterworth, 0.5-8 Hz, applied forward-backward.
+FILTER_ORDER = 3
+BAND_HZ = (0.5, 8.0)
 
 
 @dataclass(frozen=True)
@@ -24,18 +27,12 @@ class WindowSpec:
     step_s: float = 5.0
 
     def __post_init__(self):
-        if self.size_s < 60.0:
-            raise ValidationError(
-                f"window size {self.size_s} s is below the 60 s spectral floor")
+        # nan fails every comparison, so both checks refuse nan as well as inf.
+        if not hrv.SPECTRAL_MIN_SPAN_S <= self.size_s < np.inf:
+            raise ValidationError(f"window size must be finite and >= "
+                                  f"{hrv.SPECTRAL_MIN_SPAN_S:g} s, got {self.size_s}")
         if not 0 < self.step_s <= self.size_s:
             raise ValidationError(f"step must be in (0, size], got {self.step_s}")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    filter_order: int = 3
-    band_low_hz: float = 0.5
-    band_high_hz: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,9 @@ class FeatureMatrix:
                    np.array(rows), columns)
 
 
-def prepare_trace(trace: PpgTrace, config: PipelineConfig) -> pulse.RrSeries:
+def prepare_trace(trace: PpgTrace) -> pulse.RrSeries:
     """Filter a trace, detect peaks, screen to an RrSeries."""
-    cascade = design_butter_bandpass(config.filter_order, config.band_low_hz,
-                                     config.band_high_hz, trace.fs)
+    cascade = design_butter_bandpass(FILTER_ORDER, *BAND_HZ, trace.fs)
     filtered = filtfilt(cascade, trace.samples)
     peaks = pulse.detect_peaks(filtered, trace.fs)
     try:
@@ -132,7 +128,6 @@ def prepare_trace(trace: PpgTrace, config: PipelineConfig) -> pulse.RrSeries:
 
 
 def build_matrix(ds: Dataset, spec: WindowSpec,
-                 config: PipelineConfig = PipelineConfig(),
                  prepared: dict[str, pulse.RrSeries] | None = None) -> FeatureMatrix:
     """filtfilt -> peaks -> RR -> HRV features of all windows, one
     `hrv.window_features` call per trace.
@@ -142,7 +137,7 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
     """
     subjects, labels, starts, rows = [], [], [], []
     for trace in ds:
-        rr = (prepared or {}).get(trace.subject_id) or prepare_trace(trace, config)
+        rr = (prepared or {}).get(trace.subject_id) or prepare_trace(trace)
         wins = segment(trace, spec)
         start = np.array([w.start_s for w in wins])
         end = np.array([w.end_s for w in wins])

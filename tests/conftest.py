@@ -8,7 +8,7 @@ def rr_series(rr_ms, t0=0.0):
     """RrSeries straight from a list of intervals (no screening losses)."""
     rr = np.asarray(rr_ms, dtype=float)
     times = t0 + np.cumsum(rr) / 1000.0
-    return pulse.RrSeries(np.r_[t0, times], rr, times, 0)
+    return pulse.RrSeries(np.r_[t0, times], rr, times)
 
 
 def modulated_rr(mod_hz, amp_ms=50.0, mean_ms=1000.0, span_s=300.0):

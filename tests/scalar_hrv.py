@@ -23,7 +23,7 @@ def slice_window(rr: pulse.RrSeries, start_s: float, end_s: float) -> pulse.RrSe
     keep = (rr.rr_times_s >= start_s) & (rr.rr_times_s < end_s)
     rej = (rr.rejected_times_s >= start_s) & (rr.rejected_times_s < end_s)
     return pulse.RrSeries(rr.peak_times_s[pk], rr.rr_ms[keep], rr.rr_times_s[keep],
-                          int(np.count_nonzero(rej)), rr.rejected_times_s[rej])
+                          rr.rejected_times_s[rej])
 
 
 def time_domain(rr_ms) -> dict[str, float]:

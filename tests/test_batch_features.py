@@ -23,8 +23,7 @@ EXACT = ("MedianNN", "MadNN", "IQRNN", "pNN20", "pNN50", "MinNN", "MaxNN")
 
 @pytest.fixture(scope="session")
 def prepared16(cohort16):
-    config = windows.PipelineConfig()
-    return {t.subject_id: windows.prepare_trace(t, config) for t in cohort16}
+    return {t.subject_id: windows.prepare_trace(t) for t in cohort16}
 
 
 def scalar_rows(ds, spec, prepared):

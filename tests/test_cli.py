@@ -148,6 +148,23 @@ class TestSweep:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["sweep", "--sizes", "nan"], "size must be finite and >= 60 s, got nan"),
+    (["sweep", "--sizes", "60,inf"], "size must be finite and >= 60 s, got inf"),
+    (["eval", "--window", "nan"], "size must be finite and >= 60 s, got nan")],
+    ids=["sweep-nan", "sweep-inf", "eval-nan"])
+def test_non_finite_window_refused_before_data(argv, shown, tmp_path, capsys,
+                                               monkeypatch):
+    def no_cohort(spec):
+        raise AssertionError("cohort built before the window size was checked")
+
+    monkeypatch.setattr(io, "synth_cohort", no_cohort)
+    code, _, err = run(capsys, *argv, "--synth", "--subjects", "2",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error:") and shown in err
+
+
 class TestSuds:
     def test_planted_cohort_p_value(self, small_manifest, tmp_path, capsys):
         out = tmp_path / "suds.json"
@@ -189,7 +206,7 @@ def test_public_surface_pinned():
     assert sorted(ppgstress.__all__) == [
         "CATALOG", "CATALOG_VERSION", "Condition", "ConditionSpan",
         "DataError", "Dataset", "FEATURE_NAMES", "FeatureMatrix",
-        "PipelineConfig", "PipelineError", "PpgTrace", "SudsRating",
+        "PipelineError", "PpgTrace", "SudsRating",
         "SynthCohortSpec", "ValidationError", "WindowSpec", "all_features",
         "build_matrix", "load_dataset", "loso", "mann_whitney_u",
         "save_dataset", "segment", "stress_level", "suds_report",

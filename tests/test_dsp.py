@@ -131,13 +131,14 @@ class TestWelch:
         for row, power in zip(x, psd.power):
             np.testing.assert_array_equal(power, dsp.welch_psd(row, 4.0, 256).power)
 
-    # Odd and even lengths, one segment to many, leftover samples, 0.3 overlap.
+    # Odd and even lengths, one segment to many, leftover samples; `overlap`
+    # is the fraction scipy is given, whose half overlap welch_psd computes.
     @pytest.mark.parametrize("seg,n,overlap", [(237, 237, 0.5), (240, 479, 0.5),
                                                (256, 384, 0.5), (256, 1000, 0.5),
-                                               (251, 900, 0.3)])
+                                               (251, 900, 0.5)])
     def test_matches_scipy_welch(self, seg, n, overlap):
         x = np.random.default_rng(seg + n).normal(800.0, 50.0, (4, n))
-        psd = dsp.welch_psd(x, 4.0, seg, overlap)
+        psd = dsp.welch_psd(x, 4.0, seg)
         freqs, power = signal.welch(x, fs=4.0, window="hann", nperseg=seg,
                                     noverlap=int(seg * overlap),
                                     detrend="constant", scaling="density")

@@ -172,7 +172,8 @@ class TestAllFeatures:
     def test_rejection_fraction_flag(self):
         rr = modulated_rr(0.25, span_s=80)
         import dataclasses
-        bad = dataclasses.replace(rr, n_rejected=rr.rr_ms.size // 3)
+        bad = dataclasses.replace(
+            rr, rejected_times_s=rr.rr_times_s[:rr.rr_ms.size // 3])
         f = hrv.all_features(bad, 80.0)
         assert "too_many_rejected_intervals" in f.flags
 

@@ -59,6 +59,22 @@ class TestDetectPeaks:
             pulse.detect_peaks(np.ones(100), FS)
 
 
+@pytest.mark.parametrize("fs", [100.0, 250.0])
+def test_dicrotic_notch_keeps_one_peak_per_beat(fs):
+    plan = 850.0 + np.random.default_rng(11).uniform(-40.0, 40.0, 300)
+    trace = io.synth_ppg(plan, fs, 0.02, seed=2, dicrotic=True)
+    # The flag draws the second lobe: it alone separates the two traces.
+    lobes = trace.samples - io.synth_ppg(plan, fs, 0.02, seed=2).samples
+    at = np.round((np.cumsum(plan) / 1000.0 + io.DICROTIC_DELAY_S) * fs)
+    assert np.all(lobes[at.astype(int)] > 0.95 * io.DICROTIC_AMPLITUDE)
+    cascade = dsp.design_butter_bandpass(3, 0.5, 8.0, fs)
+    peaks = pulse.detect_peaks(dsp.filtfilt(cascade, trace.samples), fs)
+    assert len(peaks) == 300
+    rr = pulse.to_rr(peaks)
+    assert rr.n_rejected == 0
+    assert np.max(np.abs(rr.rr_ms - plan[1:])) <= 5.0
+
+
 class TestToRr:
     def test_clean_intervals(self):
         rr = pulse.to_rr([0.0, 1.0, 2.0, 3.0])

@@ -22,6 +22,16 @@ class TestWindowSpec:
         with pytest.raises(ValidationError):
             windows.WindowSpec(80.0, 100.0)
 
+    @pytest.mark.parametrize("size,step,shown", [
+        (float("nan"), 5.0, "size must be finite and >= 60 s, got nan"),
+        (float("inf"), 5.0, "size must be finite and >= 60 s, got inf"),
+        (80.0, float("nan"), "step must be in .*, got nan"),
+        (80.0, float("inf"), "step must be in .*, got inf")],
+        ids=["size-nan", "size-inf", "step-nan", "step-inf"])
+    def test_non_finite_refused(self, size, step, shown):
+        with pytest.raises(ValidationError, match=shown):
+            windows.WindowSpec(size, step)
+
 
 class TestSegment:
     @pytest.mark.parametrize("size,expected", [(80.0, 69), (120.0, 61)])
