@@ -62,15 +62,20 @@ class CvReport:
         }, indent=2)
 
 
-def _fit(kind: str, X, y, seed: int):
-    if kind == "lda":
-        return models.lda_fit(X, y)
-    if kind == "knn":
-        return models.knn_fit(X, y)
-    if kind == "sgd":
-        return models.sgd_logistic_fit(X, y, seed=seed)
-    raise ValidationError(f"unknown model kind {kind!r}; expected one of "
-                          f"{models.MODEL_KINDS}")
+def fold_splits(matrix: FeatureMatrix, k: int = DEFAULT_K):
+    """Per held-out subject, in order: (test mask, scaler, train, test).
+
+    ANOVA-F selection and the z-scoring scaler come from the training rows
+    only; train and test are the selected, z-scored matrices.
+    """
+    for sid in matrix.subject_ids:
+        test_mask = matrix.rows_for(sid)
+        train = matrix.take(~test_mask)
+        test = matrix.take(test_mask)
+        train_sel = select_top_k(train, anova_f(train), k)
+        scaler, train_std, test_std = standardize(
+            train_sel, test.with_columns(train_sel.columns))
+        yield test_mask, scaler, train_std, test_std
 
 
 def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",
@@ -78,23 +83,32 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     """Strict LOSO over a prebuilt feature matrix.
 
     Selection and standardization are recomputed inside each fold from the
-    training rows only.
+    training rows only. SGD fits all folds at once (`models.sgd_logistic_fit`
+    with `folds`); LDA and KNN fit one fold at a time.
     """
-    subject_ids = list(dict.fromkeys(matrix.subjects))
-    if len(subject_ids) < 2:
+    if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
+    if model_kind not in models.MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
+                              f"{models.MODEL_KINDS}")
+    splits = fold_splits(matrix, k)
+    if model_kind == "sgd":
+        # Keep each fold's rows, columns and scaler, not its training matrix.
+        specs, tests = [], []
+        for mask, sc, _, test in splits:
+            specs.append((np.flatnonzero(~mask),
+                          [matrix.columns.index(c) for c in sc.columns], sc.mean, sc.std))
+            tests.append(test)
+        fitted = models.sgd_logistic_fit(matrix.X, matrix.labels, seed=seed,
+                                         folds=specs).models
+        pairs = zip(fitted, tests)
+    else:
+        fit = models.lda_fit if model_kind == "lda" else models.knn_fit
+        pairs = ((fit(train.X, train.labels), test) for _, _, train, test in splits)
     folds = []
     pooled_correct = pooled_total = 0
-    for sid in subject_ids:
-        test_mask = matrix.rows_for(sid)
-        train = matrix.take(~test_mask)
-        test = matrix.take(test_mask)
-        report = anova_f(train)
-        train_sel = select_top_k(train, report, k)
-        test_sel = test.with_columns(train_sel.columns)
-        _, train_std, test_std = standardize(train_sel, test_sel)
-        model = _fit(model_kind, train_std.X, train_std.labels, seed)
-        p = model.predict_proba(test_std.X)
+    for sid, (model, test) in zip(matrix.subject_ids, pairs):
+        p = model.predict_proba(test.X)
         y_pred = (p >= 0.5).astype(int)
         acc, conf = metrics(test.labels, y_pred)
         folds.append(FoldResult(sid, acc, conf, test.n_rows))
@@ -122,8 +136,8 @@ def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
     """Permute labels within each subject: the chance-level control."""
     rng = np.random.default_rng(seed)
     labels = matrix.labels.copy()
-    for sid in set(matrix.subjects):
-        idx = np.flatnonzero(matrix.rows_for(sid))
+    for code in range(len(matrix.subject_ids)):
+        idx = np.flatnonzero(matrix.codes == code)
         labels[idx] = labels[rng.permutation(idx)]
     return FeatureMatrix(matrix.subjects, labels, matrix.starts, matrix.X,
                          matrix.columns)

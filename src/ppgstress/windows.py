@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,12 +77,26 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def subject_ids(self) -> tuple[str, ...]:
+        """The distinct subjects in order of first appearance."""
+        return tuple(dict.fromkeys(self.subjects))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Each row's subject as an index into `subject_ids`."""
+        code = {sid: i for i, sid in enumerate(self.subject_ids)}
+        return np.fromiter(map(code.__getitem__, self.subjects), np.intp,
+                           len(self.subjects))
+
     def rows_for(self, subject_id: str) -> np.ndarray:
-        return np.array([s == subject_id for s in self.subjects])
+        ids = self.subject_ids
+        return self.codes == (ids.index(subject_id) if subject_id in ids else -1)
 
     def take(self, mask: np.ndarray) -> "FeatureMatrix":
+        names = np.array(self.subject_ids, dtype=object)
         return FeatureMatrix(
-            tuple(s for s, m in zip(self.subjects, mask) if m),
+            tuple(names[self.codes[mask]]),
             self.labels[mask], self.starts[mask], self.X[mask], self.columns)
 
     def with_columns(self, names) -> "FeatureMatrix":

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,27 @@ class TestLoso:
         shuffled = evaluate.shuffle_labels(matrix16, seed=3)
         rep = evaluate.loso_matrix(shuffled, k=35, model_kind="lda", seed=0)
         assert 0.40 <= rep.mean_accuracy <= 0.60
+
+    def test_shuffle_independent_of_hash_seed(self):
+        # Subject order must not come from a set of strings, whose iteration
+        # order changes with the interpreter's string-hash seed.
+        script = (
+            "import numpy as np\n"
+            "from ppgstress import evaluate, windows\n"
+            "subjects = tuple(f'S{i:02d}' for i in range(1, 5) for _ in range(10))\n"
+            "labels = np.tile(np.r_[np.zeros(5, int), np.ones(5, int)], 4)\n"
+            "m = windows.FeatureMatrix(subjects, labels, np.arange(40.0),\n"
+            "                          np.zeros((40, 1)), ('f',))\n"
+            "print(evaluate.shuffle_labels(m, seed=3).labels.tolist())\n")
+        src = str(Path(evaluate.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outputs[0] == outputs[1] != ""
 
     def test_partition_exactness(self, matrix16):
         rep = evaluate.loso_matrix(matrix16, k=35, model_kind="lda", seed=0)

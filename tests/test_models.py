@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ppgstress import models
 from ppgstress.errors import DataError, ValidationError
@@ -81,6 +84,23 @@ class TestKnn:
         # from x=0: distances (0, 2, 2, 2); stable order keeps rows 1 then 2
         assert m.predict_proba(np.array([[0.0]]))[0] == pytest.approx(1 / 3)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_broadcast_stable_argsort(self, data):
+        n = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 3))
+        n_test = data.draw(st.integers(1, 3 * models.KNN_CHUNK_ROWS + 1))
+        k = data.draw(st.integers(1, n))
+        # Few distinct values: distance ties everywhere, often at the k-th.
+        values = st.sampled_from([0.0, 1.0, 2.0])
+        X = data.draw(arrays(float, (n, d), elements=values))
+        T = data.draw(arrays(float, (n_test, d), elements=values))
+        # Distinct powers of two: a mean of k of them names the rows taken.
+        y = 2.0 ** np.arange(n)
+        d2 = np.sum((T[:, None, :] - X[None, :, :]) ** 2, axis=2)
+        want = y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+        np.testing.assert_array_equal(models.KnnModel(X, y, k).predict_proba(T), want)
+
     def test_k_validation(self):
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError):
@@ -109,6 +129,14 @@ class TestSgd:
         m = models.sgd_logistic_fit(X, y, seed=2)
         losses = np.array(m.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
+
+
+@pytest.mark.parametrize("fit", [models.lda_fit, models.knn_fit,
+                                 models.sgd_logistic_fit])
+def test_non_binary_labels_refused(fit):
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(DataError, match="both classes"):
+        fit(X, np.array([0.5, 0.5, 1.0, 1.0]))
 
 
 class TestStressLevel:

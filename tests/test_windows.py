@@ -96,6 +96,29 @@ class TestBuildMatrix:
         assert a.subjects == b.subjects
 
 
+class TestSubjectCodes:
+    def matrix(self):
+        subjects = ("B", "A", "B", "C", "A")
+        return windows.FeatureMatrix(subjects, np.array([0, 1, 1, 0, 0]),
+                                     np.arange(5.0), np.arange(10.0).reshape(5, 2),
+                                     ("f0", "f1"))
+
+    def test_codes_in_first_appearance_order(self):
+        m = self.matrix()
+        assert m.subject_ids == ("B", "A", "C")
+        np.testing.assert_array_equal(m.codes, [0, 1, 0, 2, 1])
+        np.testing.assert_array_equal(m.rows_for("A"), [False, True, False, False, True])
+        np.testing.assert_array_equal(m.rows_for("Z"), np.zeros(5, dtype=bool))
+
+    def test_take_recodes_subset(self):
+        sub = self.matrix().take(np.array([False, True, False, True, True]))
+        assert sub.subjects == ("A", "C", "A")
+        assert sub.subject_ids == ("A", "C")
+        np.testing.assert_array_equal(sub.codes, [0, 1, 0])
+        np.testing.assert_array_equal(sub.X, [[2.0, 3.0], [6.0, 7.0], [8.0, 9.0]])
+        np.testing.assert_array_equal(sub.labels, [1, 0, 0])
+
+
 class TestAnovaF:
     def mk(self, cols, labels):
         X = np.array(cols, dtype=float).T
