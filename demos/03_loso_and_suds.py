@@ -6,19 +6,19 @@ the subjects' SUDs ratings differ between conditions via Mann-Whitney U.
 """
 
 from ppgstress import SynthCohortSpec, WindowSpec, synth_cohort
-from ppgstress.evaluate import loso, shuffle_labels, loso_matrix, suds_report
+from ppgstress.evaluate import shuffle_labels, loso_matrix, suds_report
 from ppgstress.windows import build_matrix
 
 ds = synth_cohort(SynthCohortSpec(n_subjects=6, seed=7))
-spec = WindowSpec(size_s=80.0, step_s=5.0)
+# The feature matrix does not depend on the model: build it once.
+matrix = build_matrix(ds, WindowSpec(size_s=80.0, step_s=5.0))
 
 for kind in ("lda", "knn", "sgd"):
-    rep = loso(ds, spec, k=35, model_kind=kind)
+    rep = loso_matrix(matrix, k=35, model_kind=kind)
     print(f"{kind}: mean-over-subjects accuracy {rep.mean_accuracy:.3f}, "
           f"pooled {rep.pooled_accuracy:.3f} over {len(rep.folds)} folds")
 
 # Chance-level control: shuffle labels within each subject and re-evaluate.
-matrix = build_matrix(ds, spec)
 chance = loso_matrix(shuffle_labels(matrix, seed=13), k=35, model_kind="lda")
 print(f"shuffled-label control: {chance.mean_accuracy:.3f} (expect ~0.5)")
 

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit as _sigmoid
 
 from .errors import DataError, ValidationError
 
@@ -19,13 +20,8 @@ LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
 SGD_LR0 = 0.01  # learning rate lr_t = SGD_LR0 / (1 + t * SGD_DECAY)
 SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
-SGD_BLOCK = 64  # SGD steps whose rows are gathered at once
+SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
 KNN_CHUNK_ROWS = 4  # test rows per broadcast distance block
-
-
-def _sigmoid(z):
-    # np.minimum(np.maximum(...)) is np.clip without its per-call overhead.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def _check_two_classes(y: np.ndarray):
@@ -152,62 +148,66 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
     """Each fold as if fitted alone: its own `default_rng(seed)` permutations,
     step counter, learning rate, losses and divergence check.
 
-    A fold with fewer rows sits out the end of each epoch; one with fewer
-    columns is padded with a zero column. Rows are gathered and z-scored
-    SGD_BLOCK steps at a time, and a fold's whole z-scored matrix exists
-    only while its epoch loss is taken, one fold at a time.
+    Row f of V is fold f's weights, then its bias on a column of ones. Within
+    a block of SGD_BLOCK steps the weights are s_t * V, s_t the product of the
+    L2 shrinks 1 - lr * SGD_L2 so far (Bottou, "Stochastic Gradient Descent
+    Tricks", 2012), so a step is a dot product, a sigmoid and a rank-1 update.
+    After its rows, a fold steps its first row at rate 0 to the end of the
+    epoch's last block; one with fewer columns is padded with zero columns.
+    Epoch e's loss takes a decision matrix from epoch e+1's z-scored blocks
+    and epoch e's weights, so only a fold's own rows and columns reach it.
     """
     y = np.asarray(y)
-    for rows, *_ in folds:
-        _check_two_classes(y[rows])
+    rows = [np.asarray(r) for r, *_ in folds]
+    for r in rows:
+        _check_two_classes(y[r])
     y = y.astype(float)
-    # Folds by descending row count, so the folds still stepping are a prefix.
-    order = sorted(range(len(folds)), key=lambda f: -len(folds[f][0]))
-    F = len(order)
-    n = np.array([len(folds[f][0]) for f in order])
-    N, d = n[0], max(len(f[1]) for f in folds)
-    Xz = np.c_[X, np.zeros(len(X))]  # its last column pads short folds
-    C = np.full((F, d), X.shape[1])
-    M, S = np.zeros((F, 1, d)), np.ones((F, 1, d))
-    for j, f in enumerate(order):
-        _, cols, mean, std = folds[f]
-        C[j, :len(cols)], M[j, 0, :len(cols)], S[j, 0, :len(cols)] = cols, mean, std
-    active = np.searchsorted(-n, -np.arange(N)).tolist()  # folds stepping at step i
-    rngs = [np.random.default_rng(seed) for _ in order]
-    w, b = np.zeros((F, d)), np.zeros(F)
-    losses = [[] for _ in folds]
-    diverged = {}
-    for epoch in range(epochs):
-        R = np.zeros((F, N), dtype=np.intp)  # row stepped by each fold at each step
-        for j, f in enumerate(order):
-            R[j, :n[j]] = np.asarray(folds[f][0])[rngs[j].permutation(n[j])]
-        y_now = y[R.T]
-        lr = SGD_LR0 / (1.0 + (epoch * n + np.arange(N)[:, None]) * SGD_DECAY)
-        for i0 in range(0, N, SGD_BLOCK):
-            xb = (Xz[R[:, i0:i0 + SGD_BLOCK, None], C[:, None]] - M) / S
-            for i in range(i0, min(i0 + SGD_BLOCK, N)):
-                a = active[i]
-                x, wa, ba, lr_i = xb[:a, i - i0], w[:a], b[:a], lr[i, :a]
-                g = _sigmoid(np.vecdot(x, wa) + ba) - y_now[i, :a]
-                wa -= lr_i[:, None] * (g[:, None] * x + SGD_L2 * wa)
-                ba -= lr_i * g
-        for j, f in enumerate(order):
-            rows, cols, mean, std = folds[f]
-            wf, yf = w[j, :len(cols)], y[rows]
-            p = _sigmoid(((X[np.ix_(rows, cols)] - mean) / std) @ wf + b[j])
-            eps = 1e-12
-            loss = float(-np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
-                         + 0.5 * SGD_L2 * np.sum(wf ** 2))
-            if not math.isfinite(loss):
-                diverged.setdefault(f, epoch)
-            losses[f].append(loss)
-    if diverged:
-        # The error the first diverging fold would raise when fitted alone.
-        raise DataError(f"SGD diverged (non-finite loss) at epoch "
-                        f"{diverged[min(diverged)]}")
-    slot = {f: j for j, f in enumerate(order)}
-    return [SgdModel(w[slot[f], :len(cols)].copy(), float(b[slot[f]]), tuple(losses[f]))
-            for f, (_, cols, _, _) in enumerate(folds)]
+    F, D, d = len(folds), X.shape[1], max(len(cols) for _, cols, *_ in folds)
+    n = np.array([len(r) for r in rows])
+    N = -(-n.max() // SGD_BLOCK) * SGD_BLOCK  # steps per epoch, in whole blocks
+    Xz = np.c_[X, np.zeros(len(X)), np.ones(len(X))]  # pads short folds; the bias
+    C, M, S = np.full((F, d + 1), D), np.zeros((F, d + 1)), np.ones((F, d + 1))
+    C[:, -1] = D + 1
+    for f, (_, cols, mean, std) in enumerate(folds):
+        C[f, :len(cols)], M[f, :len(cols)], S[f, :len(cols)] = cols, mean, std
+    V, rngs = np.zeros((F, d + 1)), [np.random.default_rng(seed) for _ in folds]
+    R, i = np.tile([r[0] for r in rows], (N, 1)), np.arange(N)[:, None]
+    # Reused, as fresh block-sized arrays (np.take's default mode makes one) page-fault.
+    idx, z = np.empty((SGD_BLOCK, F, d + 1), dtype=np.intp), np.empty((N, F))
+    a, u = np.empty((2, SGD_BLOCK, F, d + 1))
+    loss = np.empty((F, epochs))
+
+    def zscored(rb):  # each fold's rows rb[:, f], z-scored, into a
+        np.take(Xz, np.add(rb[..., None] * (D + 2), C, out=idx), out=a, mode="clip")
+        return np.divide(np.subtract(a, M, out=a), S, out=a)
+
+    for epoch in range(epochs + 1):  # pass e steps epoch e and takes epoch e-1's loss
+        for f, r in enumerate(rows):
+            R[:n[f], f] = r[rngs[f].permutation(n[f])]  # fold f's row at each step
+        lr = np.where(i < n, SGD_LR0 / (1.0 + (epoch * n + i) * SGD_DECAY), 0.0)
+        V0 = V.copy()  # the weights after epoch e-1
+        for rb, lb, zb in zip(*(A.reshape(-1, SGD_BLOCK, F) for A in (R, lr, z))):
+            np.vecdot(zscored(rb), V0, out=zb)
+            if epoch == epochs:
+                continue
+            s = np.cumprod(1.0 - lb * SGD_L2, axis=0)  # weight scale after each step
+            np.multiply(a, (lb / s)[..., None], out=u)
+            u[..., -1] = lb
+            a[1:] *= s[:-1, :, None]
+            a[..., -1] = 1.0
+            for a_i, u_i, y_i in zip(a, u, y[rb]):
+                g = _sigmoid(np.vecdot(a_i, V)) - y_i
+                V -= g[:, None] * u_i
+            V[:, :-1] *= s[-1][:, None]
+        if epoch:
+            p = _sigmoid(z)
+            ll = np.where(i < n, np.log(np.where(y[R] == 1, p, 1 - p) + 1e-12), 0.0)
+            loss[:, epoch - 1] = 0.5 * SGD_L2 * (V0[:, :-1] ** 2).sum(1) - ll.sum(0) / n
+    bad = np.argwhere(~np.isfinite(loss))
+    if len(bad):  # the error the first diverging fold would raise when fitted alone
+        raise DataError(f"SGD diverged (non-finite loss) at epoch {bad[0, 1]}")
+    return [SgdModel(V[f, :len(c)].copy(), float(V[f, -1]), tuple(loss[f].tolist()))
+            for f, (_, c, _, _) in enumerate(folds)]
 
 
 def stress_level(p_stress: float) -> float:

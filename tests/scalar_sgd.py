@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from ppgstress.errors import DataError
-from ppgstress.models import (SGD_DECAY, SGD_L2, SGD_LR0, SgdModel, _check_two_classes,
-                              _sigmoid)
+from ppgstress.models import SGD_DECAY, SGD_L2, SGD_LR0, SgdModel, _check_two_classes
 
 
 def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0) -> SgdModel:
@@ -31,12 +31,12 @@ def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0) -> SgdModel:
     for epoch in range(epochs):
         for i in rng.permutation(n):
             lr = SGD_LR0 / (1.0 + t * SGD_DECAY)
-            p = _sigmoid(X[i] @ w + b)
+            p = expit(X[i] @ w + b)
             g = p - y[i]
             w -= lr * (g * X[i] + SGD_L2 * w)
             b -= lr * g
             t += 1
-        p = _sigmoid(X @ w + b)
+        p = expit(X @ w + b)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
                      + 0.5 * SGD_L2 * np.sum(w ** 2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,15 @@ class TestSgd:
         m = models.sgd_logistic_fit(X, y, seed=2)
         losses = np.array(m.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
+
+
+def test_sigmoid_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert models._sigmoid(0.0) == 0.5
+        z = np.array([np.inf, 1e308, -np.inf, -1e308])
+        np.testing.assert_array_equal(models._sigmoid(z), [1.0, 1.0, 0.0, 0.0])
+        assert np.isnan(models._sigmoid(np.nan))
 
 
 @pytest.mark.parametrize("fit", [models.lda_fit, models.knn_fit,
