@@ -332,11 +332,16 @@ def load_dataset(manifest_path) -> Dataset:
         ratings = []
         for lineno, row in _read_csv(base / entry["suds"], ["time_s", "value"], sid):
             try:
-                ratings.append(SudsRating(float(row[0]), int(float(row[1]))))
+                if len(row) != 2:
+                    raise ValueError
+                value = float(row[1])
+                if not value.is_integer():  # nan and inf included
+                    raise ValidationError(f"SUDs must be a whole number, got {row[1]!r}")
+                ratings.append(SudsRating(float(row[0]), int(value)))
             except ValidationError as e:
                 raise ValidationError(
                     f"subject {sid}: {e} at {entry['suds']}:{lineno}") from None
-            except (ValueError, IndexError):
+            except ValueError:
                 raise ValidationError(
                     f"subject {sid}: bad SUDs row at {entry['suds']}:{lineno}") from None
         traces.append(PpgTrace(sid, float(entry["fs"]), np.array(samples),

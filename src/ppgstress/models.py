@@ -21,7 +21,8 @@ SGD_LR0 = 0.01  # learning rate lr_t = SGD_LR0 / (1 + t * SGD_DECAY)
 SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
 SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
-KNN_CHUNK_ROWS = 4  # test rows per broadcast distance block
+KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
+_KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
 
 
 def _check_two_classes(y: np.ndarray):
@@ -73,24 +74,74 @@ class KnnModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Fraction of stress labels among the k nearest training rows.
 
-        Distance ties are broken by training-row order. Test rows are taken
-        KNN_CHUNK_ROWS at a time, so the broadcast difference array stays
-        small; each row's distances are the same either way.
+        The k nearest are the k smallest squared distances
+        E_j = `np.sum((t - x_j) ** 2)`, ties broken by training-row order and
+        nan last. A BLAS filter bounds them, and distances are computed exactly
+        only where the filter cannot decide, so the result is exact.
+
+        Filter: for KNN_CHUNK_ROWS test rows at a time, one matmul of [T, 1]
+        with [-2X, |x|^2] gives a_j = |x_j|^2 - 2 t.x_j, the distance less
+        |t|^2, which is the same for every j and so is left out. The minima of
+        k+1 disjoint column blocks are values of k+1 different rows, so their
+        largest is at least the (k+1)-th smallest a_j; the rows at or below it
+        are sorted by a_j. (With k = n every block is one row.)
+
+        Bound: with u = eps/2, an m-term dot product is off by at most
+        gamma_m = m u / (1 - m u) times the sum of its terms' magnitudes, in
+        any summation order. a_j has d+1 terms and |x_j|^2 has d, and
+        2 sum_i |t_i x_ji| <= |t|^2 + |x_j|^2, so a_j + |t|^2 is within
+        3 gamma_(d+1) (1 + gamma_d) (|t|^2 + |x_j|^2) of the true distance D_j.
+        E_j rounds a difference and a square per term and sums d non-negative
+        terms, and D_j <= 2 (|t|^2 + |x_j|^2), so E_j is within
+        2 gamma_(d+2) (|t|^2 + |x_j|^2) of D_j. Together that is about
+        (2.5 d + 3.5) eps (|t|^2 + |x_j|^2), and the slack
+            S = 4 (d + 2) eps (|t|^2 + max_j |x_j|^2) + d tiny
+        exceeds it with room for the rounding of S and of the threshold;
+        `tiny`, the smallest normal float, covers products that underflow.
+        Where |t|^2 + max_j |x_j|^2 is above max/16 or is not finite (overflow,
+        nan, inf), S is inf and every row is measured exactly.
+
+        Selection: let a_(k) be the k-th smallest a_j. The k rows with
+        a_j <= a_(k) have E_j <= a_(k) + |t|^2 + S, so the k-th smallest E_j
+        is no larger, and every row the exact rule can select has
+        a_j <= a_(k) + 2S. If the (k+1)-th smallest a_j is above that, the k
+        filter rows are the k nearest. Otherwise every row within it, nan
+        included, is measured exactly and sorted stably by distance.
         """
-        X = np.atleast_2d(X)
-        k = self.k
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        n, d = self.X.shape
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValidationError(f"test rows need {d} columns, got shape {X.shape}")
+        k, f64 = self.k, np.finfo(float)
+        near = min(k + 1, n)  # smallest a_j kept per row: the k, and one to check
+        with np.errstate(over="ignore", invalid="ignore"):
+            xx = np.sum(self.X ** 2, axis=1)
+            W = np.vstack([-2.0 * self.X.T, xx])
+            scale = np.sum(X ** 2, axis=1) + xx.max()
+            slack = 4 * (d + 2) * f64.eps * scale + d * f64.tiny
+            slack[~(scale <= _KNN_SCALE_CAP)] = np.inf
+        T = np.c_[X, np.ones(len(X))]
+        buf = np.empty((min(len(X), KNN_CHUNK_ROWS), n))  # reused: fresh blocks page-fault
         idx = np.empty((len(X), k), dtype=np.intp)
         for lo in range(0, len(X), KNN_CHUNK_ROWS):
-            d2 = np.sum((X[lo:lo + KNN_CHUNK_ROWS, None, :] - self.X[None, :, :]) ** 2,
-                        axis=2)
-            # Candidates: every row not farther than the k-th distance (nan
-            # included, as argsort puts it last), in row order; the stable
-            # sort by distance keeps that order among ties.
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-            row, col = np.nonzero(~(d2 > kth))
-            order = np.lexsort((d2[row, col], row))
-            first = np.searchsorted(row, np.arange(len(d2)))
-            idx[lo:lo + len(d2)] = col[order][first[:, None] + np.arange(k)]
+            t = T[lo:lo + KNN_CHUNK_ROWS]
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = np.matmul(t, W, out=buf[:len(t)])
+                blocks = a[:, :n // near * near].reshape(len(t), near, -1)
+                top = blocks.min(axis=2).max(axis=1)
+                flat = np.flatnonzero(~(a > top[:, None]))
+                row, col = np.divmod(flat, n)
+                order = np.lexsort((a.ravel()[flat], row))
+                first = np.searchsorted(row, np.arange(len(t)))
+                pos = order[first[:, None] + np.arange(near)]
+                vals = a.ravel()[flat[pos]]
+                idx[lo:lo + len(t)] = col[pos[:, :k]]
+                thr = vals[:, k - 1] + 2 * slack[lo:lo + len(t)]
+                undecided = ~(vals[:, k] > thr) if k < n else []
+            for i in np.flatnonzero(undecided):
+                c = np.flatnonzero(~(a[i] > thr[i]))
+                d2 = np.sum((X[lo + i] - self.X[c]) ** 2, axis=1)
+                idx[lo + i] = c[np.argsort(d2, kind="stable")[:k]]
         return self.y[idx].mean(axis=1)
 
 
@@ -98,8 +149,8 @@ def knn_fit(X, y, k: int = 5) -> KnnModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     _check_two_classes(y)
-    if k < 1 or k > len(y):
-        raise ValidationError(f"k must be in [1, n_rows], got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1 or k > len(y):
+        raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
     return KnnModel(X, y, k)
 
 

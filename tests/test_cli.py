@@ -191,6 +191,13 @@ class TestSuds:
         assert code == 1
         assert "S02" in err
 
+    def test_overflowing_suds_value_exit_code(self, tmp_path, capsys):
+        run(capsys, "synth", "--subjects", "1", "--seed", "3", "--out", str(tmp_path))
+        (tmp_path / "S01_suds.csv").write_text("time_s,value\n60,1e400\n")
+        code, _, err = run(capsys, "suds", "--manifest", str(tmp_path / "manifest.json"))
+        assert code == 1
+        assert err.startswith("error:") and "S01_suds.csv:2" in err
+
 
 class TestCatalog:
     def test_machine_readable_table(self, capsys):

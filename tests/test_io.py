@@ -137,6 +137,19 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=r"SUDs out of \[0,100\].*:2"):
             io.load_dataset(manifest)
 
+    @pytest.mark.parametrize("row,problem", [
+        ("60,12.7", r"SUDs must be a whole number, got '12.7'"),
+        ("60,1e400", r"SUDs must be a whole number, got '1e400'"),
+        ("7,extra", "bad SUDs row"),
+        ("60,50,extra", "bad SUDs row"),
+    ])
+    def test_bad_suds_value_named_with_line(self, tmp_path, row, problem):
+        ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
+        manifest = io.save_dataset(ds, tmp_path)
+        (tmp_path / "S01_suds.csv").write_text(f"time_s,value\n30,40\n{row}\n")
+        with pytest.raises(ValidationError, match=rf"subject S01: {problem}.* S01_suds.csv:3$"):
+            io.load_dataset(manifest)
+
     def test_bad_condition_named(self, tmp_path):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
         manifest = io.save_dataset(ds, tmp_path)

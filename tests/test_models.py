@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scalar_knn
 from ppgstress import models
 from ppgstress.errors import DataError, ValidationError
 
@@ -65,6 +66,42 @@ class TestLda:
             models.lda_fit(np.ones((4, 2)), np.zeros(4, dtype=int))
 
 
+@st.composite
+def adversarial_knn_case(draw):
+    """Training rows, test rows and k where a Gram-identity distance misorders.
+
+    Rows come from a small pool, so duplicates and distance ties are common,
+    on a large common offset over a small spread, where |t|^2 + |x|^2 - 2 t.x
+    cancels; squares that underflow and magnitudes near the overflow cap come
+    in too. Some entries are nudged by a few ulps, and a few are nan or +-inf.
+    The test rows span several filter chunks.
+    """
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    n_test = draw(st.integers(1, 3 * models.KNN_CHUNK_ROWS + 1))
+    k = draw(st.integers(1, n))
+    offset = draw(st.sampled_from([0.0, 1e3, -1e5, 1e8, 1e153]))
+    spread = draw(st.sampled_from([1e-160, 1e-5, 1e-2, 1.0]))
+    grid = draw(st.booleans())  # integer steps: many exactly equal distances
+    n_pool = draw(st.integers(1, 8))
+    ulp_frac = draw(st.sampled_from([0.0, 0.3]))
+    jitter = draw(st.sampled_from([0.0, 1e-3]))  # relative: near, not equal, rows
+    n_bad = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = rng.integers(-2, 3, (n_pool, d)) if grid else rng.standard_normal((n_pool, d))
+    pool = offset + spread * step
+
+    def rows(count, bad):
+        R = pool[rng.integers(0, n_pool, count)]
+        R = R * (1 + jitter * rng.standard_normal(R.shape))
+        nudge = rng.integers(-2, 3, R.shape) * (rng.random(R.shape) < ulp_frac)
+        R = R + nudge * np.spacing(R)
+        flat = R.reshape(-1)
+        flat[rng.integers(0, flat.size, bad)] = rng.choice([np.nan, np.inf, -np.inf], bad)
+        return R
+
+    return rows(n, n_bad[0]), rows(n_test, n_bad[1]), k
+
+
 class TestKnn:
     def test_unanimous_neighbors(self):
         X = np.arange(10.0).reshape(-1, 1)
@@ -107,6 +144,30 @@ class TestKnn:
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError):
             models.knn_fit(X, y, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3", None])
+    def test_non_integer_k_refused(self, k):
+        X, y = gaussian_clouds(n=3)
+        with pytest.raises(ValidationError, match="integer"):
+            models.knn_fit(X, y, k=k)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (1,), (2, 3, 1)])
+    def test_wrong_test_columns_refused(self, shape):
+        X, y = gaussian_clouds(n=3, d=3)
+        m = models.knn_fit(X, y, k=3)
+        with pytest.raises(ValidationError, match="3 columns"):
+            m.predict_proba(np.zeros(shape))
+
+    @given(adversarial_knn_case())
+    @settings(max_examples=300, deadline=None)
+    def test_neighbours_match_brute_force_reference(self, case):
+        X, T, k = case
+        # Distinct powers of two: a mean of k of them names the rows taken.
+        y = 2.0 ** np.arange(len(X))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = y[scalar_knn.knn_indices(X, T, k)].mean(axis=1)
+            got = models.KnnModel(X, y, k).predict_proba(T)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSgd:
