@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, asdict
 from itertools import combinations
@@ -10,11 +11,13 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from . import models
+from . import models, moments
 from .errors import DataError, ValidationError
 from .io import Dataset
-from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, anova_f,
-                      build_matrix, prepare_trace, select_top_k, standardize)
+from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
+                      f_scores, prepare_trace, rank, scaling)
+
+log = logging.getLogger(__name__)
 
 EXACT_U_CAP = 16
 # Features kept by the per-fold ANOVA-F selection.
@@ -62,20 +65,61 @@ class CvReport:
         }, indent=2)
 
 
-def fold_splits(matrix: FeatureMatrix, k: int = DEFAULT_K):
-    """Per held-out subject, in order: (test mask, scaler, train, test).
+@dataclass(frozen=True)
+class FoldStats:
+    """One LOSO fold's training statistics; no training row is materialised."""
+    train: np.ndarray   # training row indices
+    test: np.ndarray    # held-out row indices
+    f: np.ndarray       # ANOVA F of every column over the training rows
+    cols: np.ndarray    # the top-k columns by F, less zero-variance ones
+    mean: np.ndarray    # the scaler: mean and std (ddof = 1) of cols
+    std: np.ndarray
+    classes: moments.Moments  # the training rows' class moments, every column
 
-    ANOVA-F selection and the z-scoring scaler come from the training rows
-    only; train and test are the selected, z-scored matrices.
+    def zscored(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Rows of X, restricted to the fold's columns and z-scored."""
+        return (X[np.ix_(rows, self.cols)] - self.mean) / self.std
+
+    def lda(self) -> models.LdaModel:
+        """LDA on the z-scored training rows, from their class moments."""
+        c, std = self.cols, self.std
+        scatter = self.classes.cross.sum(axis=0)[np.ix_(c, c)] / np.outer(std, std)
+        return models.lda_from_moments(self.classes.n,
+                                       (self.classes.mean[:, c] - self.mean) / std, scatter)
+
+
+def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
+    """Every held-out subject's fold, in subject order.
+
+    The moments of each (subject, class) group of rows are taken once; a
+    fold's class moments merge those of every other subject
+    (`moments.leave_one_out`). Its ANOVA-F ranking (`f_scores`, `rank`),
+    top-k selection and scaler (`scaling`, zero-variance columns dropped)
+    come from them.
     """
-    for sid in matrix.subject_ids:
-        test_mask = matrix.rows_for(sid)
-        train = matrix.take(~test_mask)
-        test = matrix.take(test_mask)
-        train_sel = select_top_k(train, anova_f(train), k)
-        scaler, train_std, test_std = standardize(
-            train_sel, test.with_columns(train_sel.columns))
-        yield test_mask, scaler, train_std, test_std
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    models._check_two_classes(matrix.labels)
+    groups = moments.stack([moments.by_class(matrix.X[matrix.codes == code],
+                                             matrix.labels[matrix.codes == code])
+                            for code in range(len(matrix.subject_ids))])
+    folds = []
+    for code, classes in enumerate(moments.leave_one_out(groups)):
+        if np.any(classes.n < 2):
+            raise DataError("ANOVA needs >= 2 rows in each class")
+        f = f_scores(classes)
+        top = rank(f)[:k]
+        mean, std = scaling(moments.merge(classes[0], classes[1]))
+        cols = top[std[top] > 0]
+        if not len(cols):
+            raise DataError("all training columns have zero variance")
+        if len(cols) < len(top):
+            log.info("dropping zero-variance columns: %s", ", ".join(
+                matrix.columns[i] for i in top if std[i] == 0))
+        folds.append(FoldStats(np.flatnonzero(matrix.codes != code),
+                               np.flatnonzero(matrix.codes == code), f, cols,
+                               mean[cols], std[cols], classes))
+    return folds
 
 
 def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",
@@ -83,41 +127,42 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     """Strict LOSO over a prebuilt feature matrix.
 
     Selection and standardization are recomputed inside each fold from the
-    training rows only. SGD fits all folds at once (`models.sgd_logistic_fit`
-    with `folds`); LDA and KNN fit one fold at a time.
+    training rows only, but without gathering them: the row count, column
+    means and centred cross-products of each (subject, class) group are
+    taken once, and each fold's class moments are the Chan merges of every
+    other subject's (`fold_stats`). The fold's ANOVA-F ranking, scaler and,
+    for LDA, class means and pooled covariance follow from them. KNN gets
+    its z-scored training rows in one gather; SGD fits all folds at once
+    (`models.sgd_logistic_fit` with `folds`). Every fold is predicted
+    through its model's `predict_proba`.
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
     if model_kind not in models.MODEL_KINDS:
         raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
                               f"{models.MODEL_KINDS}")
-    splits = fold_splits(matrix, k)
+    folds = fold_stats(matrix, k)
+    X, y = matrix.X, matrix.labels
     if model_kind == "sgd":
-        # Keep each fold's rows, columns and scaler, not its training matrix.
-        specs, tests = [], []
-        for mask, sc, _, test in splits:
-            specs.append((np.flatnonzero(~mask),
-                          [matrix.columns.index(c) for c in sc.columns], sc.mean, sc.std))
-            tests.append(test)
-        fitted = models.sgd_logistic_fit(matrix.X, matrix.labels, seed=seed,
-                                         folds=specs).models
-        pairs = zip(fitted, tests)
+        specs = [(fold.train, fold.cols, fold.mean, fold.std) for fold in folds]
+        fitted = models.sgd_logistic_fit(X, y, seed=seed, folds=specs).models
+    elif model_kind == "lda":
+        fitted = (fold.lda() for fold in folds)
     else:
-        fit = models.lda_fit if model_kind == "lda" else models.knn_fit
-        pairs = ((fit(train.X, train.labels), test) for _, _, train, test in splits)
-    folds = []
-    pooled_correct = pooled_total = 0
-    for sid, (model, test) in zip(matrix.subject_ids, pairs):
-        p = model.predict_proba(test.X)
+        fitted = (models.knn_fit(fold.zscored(X, fold.train), y[fold.train])
+                  for fold in folds)
+    results = []
+    pooled_correct = 0
+    for sid, fold, model in zip(matrix.subject_ids, folds, fitted):
+        p = model.predict_proba(fold.zscored(X, fold.test))
         y_pred = (p >= 0.5).astype(int)
-        acc, conf = metrics(test.labels, y_pred)
-        folds.append(FoldResult(sid, acc, conf, test.n_rows))
+        acc, conf = metrics(y[fold.test], y_pred)
+        results.append(FoldResult(sid, acc, conf, len(fold.test)))
         pooled_correct += conf["tp"] + conf["tn"]
-        pooled_total += test.n_rows
     cfg = dict(config_echo or {}, k=k, model=model_kind, seed=seed)
-    return CvReport(tuple(folds),
-                    float(np.mean([f.accuracy for f in folds])),
-                    pooled_correct / pooled_total, cfg)
+    return CvReport(tuple(results),
+                    float(np.mean([f.accuracy for f in results])),
+                    pooled_correct / matrix.n_rows, cfg)
 
 
 def window_echo(spec: WindowSpec) -> dict:

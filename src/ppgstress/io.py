@@ -323,9 +323,14 @@ def load_dataset(manifest_path) -> Dataset:
         for lineno, row in _read_csv(base / entry["annotations"],
                                      ["start_s", "end_s", "condition"], sid):
             try:
+                if len(row) != 3:
+                    raise ValueError
                 spans.append(ConditionSpan(float(row[0]), float(row[1]),
                                            Condition.parse(row[2])))
-            except (ValueError, IndexError):
+            except ValidationError as e:
+                raise ValidationError(
+                    f"subject {sid}: {e} at {entry['annotations']}:{lineno}") from None
+            except ValueError:
                 raise ValidationError(
                     f"subject {sid}: bad annotation at {entry['annotations']}:{lineno}"
                 ) from None
@@ -334,10 +339,12 @@ def load_dataset(manifest_path) -> Dataset:
             try:
                 if len(row) != 2:
                     raise ValueError
-                value = float(row[1])
+                time_s, value = float(row[0]), float(row[1])
+                if not math.isfinite(time_s):
+                    raise ValidationError(f"SUDs time must be finite, got {row[0]!r}")
                 if not value.is_integer():  # nan and inf included
                     raise ValidationError(f"SUDs must be a whole number, got {row[1]!r}")
-                ratings.append(SudsRating(float(row[0]), int(value)))
+                ratings.append(SudsRating(time_s, int(value)))
             except ValidationError as e:
                 raise ValidationError(
                     f"subject {sid}: {e} at {entry['suds']}:{lineno}") from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit as _sigmoid
 
+from . import moments
 from .errors import DataError, ValidationError
 
 MODEL_KINDS = ("lda", "knn", "sgd")
@@ -44,24 +45,29 @@ class LdaModel:
 
 
 def lda_fit(X, y) -> LdaModel:
-    """Pooled-covariance LDA; LDA_RIDGE * trace(cov)/d is added to the diagonal."""
+    """Pooled-covariance LDA of the rows of X (`lda_from_moments` of its classes)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     _check_two_classes(y)
-    n, d = X.shape
-    if n <= d:
-        warnings.warn(f"LDA fit with n={n} rows <= d={d} columns; "
-                      "estimates may be unstable", stacklevel=2)
-    means = np.stack([X[y == g].mean(axis=0) for g in (0, 1)])
-    centered = X - means[y]
-    cov = centered.T @ centered / (n - 2)
+    classes = moments.by_class(X, y)
+    return lda_from_moments(classes.n, classes.mean, classes.cross.sum(axis=0))
+
+
+def lda_from_moments(n, means, scatter) -> LdaModel:
+    """LDA from the class row counts n (2,), class means (2, d) and the pooled
+    within-class scatter (d, d): the covariance is scatter / (n0 + n1 - 2),
+    plus LDA_RIDGE * trace(cov)/d on the diagonal."""
+    rows, d = int(np.sum(n)), means.shape[1]
+    if rows <= d:
+        warnings.warn(f"LDA fit with n={rows} rows <= d={d} columns; "
+                      "estimates may be unstable", stacklevel=3)
+    cov = scatter / (rows - 2)
     cov = cov + np.eye(d) * LDA_RIDGE * np.trace(cov) / d
     try:
         w = np.linalg.solve(cov, means[1] - means[0])
     except np.linalg.LinAlgError:
         raise DataError("pooled covariance singular even after ridge") from None
-    priors = np.array([np.mean(y == 0), np.mean(y == 1)])
-    b = -0.5 * float((means[0] + means[1]) @ w) + math.log(priors[1] / priors[0])
+    b = -0.5 * float((means[0] + means[1]) @ w) + math.log(n[1] / n[0])
     return LdaModel(w, b)
 
 

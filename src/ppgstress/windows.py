@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hrv, pulse
+from . import hrv, moments, pulse
 from .dsp import design_butter_bandpass, filtfilt
 from .errors import DataError, ValidationError
 from .io import Dataset, PpgTrace
@@ -181,24 +181,43 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
 @dataclass(frozen=True)
 class SelectionReport:
     scores: dict[str, float]
-    ranked: tuple[str, ...]  # descending F, ties broken by catalog order
+    ranked: tuple[str, ...]  # descending F; bit-equal F in catalog order
+
+
+def f_scores(classes: moments.Moments) -> np.ndarray:
+    """One-way two-group ANOVA F per column, from the two classes' moments.
+
+    MSB = n0 n1 / n (mean1 - mean0)^2 (df = 1) and MSW = (ss0 + ss1) / (n - 2).
+    A column constant over all rows gets 0; one constant within each class
+    but not over both (MSW = 0) gets +inf.
+    """
+    (n0, n1), (m0, m1) = classes.n, classes.mean
+    n = n0 + n1
+    msb = n0 * n1 / n * (m1 - m0) ** 2
+    msw = classes.ss.sum(axis=0) / (n - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(msw > 0, msb / np.where(msw > 0, msw, 1.0), np.inf)
+    f[classes.lo.min(axis=0) == classes.hi.max(axis=0)] = 0.0
+    return f
+
+
+def rank(f: np.ndarray) -> np.ndarray:
+    """Column indices by descending F; bit-equal F keep catalog order, nan last.
+
+    LFn + HFn = 100, so their F values are equal in exact arithmetic, but
+    rounding may put either first.
+    """
+    return np.argsort(-f, kind="stable")
 
 
 def anova_f(m: FeatureMatrix) -> SelectionReport:
-    """One-way two-group ANOVA F per column; MSW = 0 columns get +inf."""
-    groups = [m.X[m.labels == g] for g in (0, 1)]
-    if any(len(g) < 2 for g in groups):
+    """ANOVA F per column (`f_scores` of the matrix's two classes)."""
+    classes = moments.by_class(m.X, m.labels)
+    if np.any(classes.n < 2):
         raise DataError("ANOVA needs >= 2 rows in each class")
-    grand = np.mean(m.X, axis=0)
-    n = m.n_rows
-    msb = sum(len(g) * (np.mean(g, axis=0) - grand) ** 2 for g in groups)  # df = 1
-    ssw = sum(np.sum((g - np.mean(g, axis=0)) ** 2, axis=0) for g in groups)
-    msw = ssw / (n - 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(msw > 0, msb / np.where(msw > 0, msw, 1.0), np.inf)
-    scores = dict(zip(m.columns, (float(v) for v in f)))
-    order = sorted(range(len(m.columns)), key=lambda i: (-f[i], i))
-    return SelectionReport(scores, tuple(m.columns[i] for i in order))
+    f = f_scores(classes)
+    return SelectionReport(dict(zip(m.columns, f.tolist())),
+                           tuple(m.columns[i] for i in rank(f)))
 
 
 def select_top_k(m: FeatureMatrix, report: SelectionReport, k: int) -> FeatureMatrix:
@@ -206,6 +225,13 @@ def select_top_k(m: FeatureMatrix, report: SelectionReport, k: int) -> FeatureMa
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return m.with_columns(report.ranked[:min(k, len(m.columns))])
+
+
+def scaling(total: moments.Moments) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations (ddof = 1) from a group's moments;
+    the std of a constant column, or of a single row, is exactly 0."""
+    std = np.sqrt(total.ss / (total.n - 1)) if total.n > 1 else np.zeros_like(total.ss)
+    return total.mean, std
 
 
 @dataclass(frozen=True)
@@ -223,8 +249,7 @@ def standardize(train: FeatureMatrix,
                 apply: FeatureMatrix | None = None
                 ) -> tuple[Scaler, FeatureMatrix, FeatureMatrix | None]:
     """Z-score using training statistics only; zero-variance columns dropped."""
-    mean = np.mean(train.X, axis=0)
-    std = np.std(train.X, axis=0, ddof=1) if train.n_rows > 1 else np.zeros_like(mean)
+    mean, std = scaling(moments.of(train.X))
     keep = std > 0
     if not np.any(keep):
         raise DataError("all training columns have zero variance")

@@ -1,0 +1,100 @@
+"""Moment-based LOSO folds (`evaluate.fold_stats`) against the materialising
+reference (`tests/scalar_folds.py`).
+
+A fold's means and sums of squares are merged from per-subject moments, so
+they round differently from `np.mean` and `np.std` over its gathered rows.
+The F scores, the scaler's std and the LDA decision values (relative to the
+fold's largest) must agree within TOL relative, the scaler's mean within
+TOL of its std, and the predicted labels exactly. Measured on 16- and
+64-subject cohorts (seeds 0, 3, 7 and 11) and their uneven slices: F within
+2.7e-12, the mean within 3.4e-14 std, the std within 2.3e-14 and the
+decision values within 5.5e-12.
+Columns whose F values lie within TOL of each other may rank either way.
+"""
+
+import numpy as np
+import pytest
+
+import scalar_folds
+from ppgstress import evaluate, models, windows
+
+TOL = 1e-10
+
+
+def uneven(matrix):
+    """The first 4 subjects; S02 keeps only 20 of its stressed rows, S03 none."""
+    small = matrix.take(matrix.codes < 4)
+    cut = small.rows_for("S02") & (small.labels == 1)
+    gone = small.rows_for("S03") & (small.labels == 1)
+    return small.take((~cut | (np.cumsum(cut) <= 20)) & ~gone)
+
+
+def assert_folds_match(m, k):
+    """Every fold's statistics and predictions against the reference's."""
+    folds, refs = evaluate.fold_stats(m, k), list(scalar_folds.fold_splits(m, k))
+    assert len(folds) == len(refs) == len(m.subject_ids)
+    for fold, ref in zip(folds, refs):
+        np.testing.assert_array_equal(fold.test, np.flatnonzero(ref.test_mask))
+        np.testing.assert_array_equal(fold.train, np.flatnonzero(~ref.test_mask))
+        assert np.all(np.abs(fold.f - ref.f) <= TOL * ref.f)
+        order = windows.rank(fold.f)
+        moved = order != ref.ranked
+        assert np.all(np.abs(ref.f[order] - ref.f[ref.ranked])[moved]
+                      <= TOL * ref.f[ref.ranked][moved])
+        assert sorted(fold.cols) == sorted(ref.cols)
+        at = [list(ref.cols).index(c) for c in fold.cols]
+        assert np.all(np.abs(fold.mean - ref.mean[at]) <= TOL * ref.std[at])
+        assert np.all(np.abs(fold.std - ref.std[at]) <= TOL * ref.std[at])
+
+        test_X = fold.zscored(m.X, fold.test)
+        lda, lda_ref = fold.lda(), scalar_folds.lda_fit(ref.train_X, ref.train_y)
+        d, d_ref = lda.decision(test_X), lda_ref.decision(ref.test_X)
+        assert np.max(np.abs(d - d_ref)) <= TOL * np.max(np.abs(d_ref))
+        np.testing.assert_array_equal(lda.predict_proba(test_X) >= 0.5,
+                                      lda_ref.predict_proba(ref.test_X) >= 0.5)
+        knn = models.knn_fit(fold.zscored(m.X, fold.train), m.labels[fold.train])
+        np.testing.assert_array_equal(
+            knn.predict_proba(test_X),
+            models.knn_fit(ref.train_X, ref.train_y).predict_proba(ref.test_X))
+
+
+@pytest.mark.parametrize("k", [35, 5])
+def test_matrix16_matches_reference(matrix16, k):
+    assert_folds_match(matrix16, k)
+
+
+def test_uneven_classes_match_reference(matrix16):
+    m = uneven(matrix16)
+    counts = [np.bincount(m.labels[m.codes == c], minlength=2) for c in range(4)]
+    assert counts[1][1] == 20 < counts[1][0] and counts[2][1] == 0
+    assert_folds_match(m, 35)
+
+
+def test_fold_constant_column_scores_zero_and_is_dropped(matrix16):
+    m = uneven(matrix16)
+    X = m.X.copy()
+    # 0.1 has no exact binary value: np.mean of it rounds, np.std is not 0.
+    X[~m.rows_for("S02"), 3] = 0.1
+    m = windows.FeatureMatrix(m.subjects, m.labels, m.starts, X, m.columns)
+    folds = evaluate.fold_stats(m, 35)
+    held_s02 = folds[m.subject_ids.index("S02")]
+    assert held_s02.f[3] == 0.0 and 3 not in held_s02.cols
+    assert all(f.f[3] > 0 and 3 in f.cols for f in folds if f is not held_s02)
+    assert_folds_match(m, 35)
+
+
+def test_lfn_hfn_tie_within_tolerance(matrix16):
+    # LFn + HFn = 100 in every window, so their F values are equal in exact
+    # arithmetic; which ranks first is left to rounding.
+    lf, hf = matrix16.columns.index("LFn"), matrix16.columns.index("HFn")
+    scores = windows.anova_f(matrix16).scores
+    assert abs(scores["LFn"] - scores["HFn"]) <= TOL * scores["LFn"]
+    for fold in evaluate.fold_stats(matrix16, 35):
+        assert abs(fold.f[lf] - fold.f[hf]) <= TOL * fold.f[lf]
+
+
+def test_report_matches_reference_accuracies(matrix16):
+    rep = evaluate.loso_matrix(matrix16, 35, "lda")
+    for fold, ref in zip(rep.folds, scalar_folds.fold_splits(matrix16, 35)):
+        want = scalar_folds.lda_fit(ref.train_X, ref.train_y).predict_proba(ref.test_X)
+        assert fold.accuracy == evaluate.metrics(ref.test_y, want >= 0.5)[0]

@@ -142,6 +142,8 @@ class TestRoundTrip:
         ("60,1e400", r"SUDs must be a whole number, got '1e400'"),
         ("7,extra", "bad SUDs row"),
         ("60,50,extra", "bad SUDs row"),
+        ("inf,50", "SUDs time must be finite, got 'inf'"),
+        ("nan,50", "SUDs time must be finite, got 'nan'"),
     ])
     def test_bad_suds_value_named_with_line(self, tmp_path, row, problem):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
@@ -155,5 +157,16 @@ class TestRoundTrip:
         manifest = io.save_dataset(ds, tmp_path)
         (tmp_path / "S01_annotations.csv").write_text(
             "start_s,end_s,condition\n0,420,sleepy\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"subject S01: unknown condition "
+                           r"'sleepy'.* at S01_annotations.csv:2$"):
+            io.load_dataset(manifest)
+
+    @pytest.mark.parametrize("row", ["0,200.8,relaxing,extra", "0,200.8"])
+    def test_annotation_field_count_named(self, tmp_path, row):
+        ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
+        manifest = io.save_dataset(ds, tmp_path)
+        (tmp_path / "S01_annotations.csv").write_text(
+            f"start_s,end_s,condition\n{row}\n200.8,420,stressful\n")
+        with pytest.raises(ValidationError,
+                           match=r"subject S01: bad annotation at S01_annotations.csv:2$"):
             io.load_dataset(manifest)

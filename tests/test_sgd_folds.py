@@ -12,6 +12,7 @@ cohorts the weights differ by at most 2.5e-14 and the losses by 2.8e-17.
 import numpy as np
 import pytest
 
+import scalar_folds
 import scalar_sgd
 from ppgstress import evaluate, models, windows
 from ppgstress.errors import DataError
@@ -58,12 +59,13 @@ def assert_close_to_reference(model, X, y, test_X, epochs=50):
 def assert_matches_reference(matrix, k, fitted, report=None, epochs=50):
     """Each fold's model against the reference fitted on that fold alone;
     with a report, also its accuracies against the reference's."""
-    splits = list(evaluate.fold_splits(matrix, k))
+    splits = list(scalar_folds.fold_splits(matrix, k))
     assert len(splits) == len(fitted)
-    for i, ((_, _, train, test), model) in enumerate(zip(splits, fitted)):
-        want = assert_close_to_reference(model, train.X, train.labels, test.X, epochs)
+    for i, (fold, model) in enumerate(zip(splits, fitted)):
+        want = assert_close_to_reference(model, fold.train_X, fold.train_y, fold.test_X,
+                                         epochs)
         if report is not None:
-            assert report.folds[i].accuracy == evaluate.metrics(test.labels, want)[0]
+            assert report.folds[i].accuracy == evaluate.metrics(fold.test_y, want)[0]
 
 
 def test_unequal_fold_sizes(matrix16, monkeypatch):

@@ -151,10 +151,29 @@ class TestAnovaF:
         assert rep.scores["f0"] == np.inf
         assert rep.ranked[0] == "f0"
 
+    def test_constant_column_scores_zero(self):
+        # np.std of seven 0.1s is 1.5e-17, not 0; ones would give MSW = 0.
+        m = self.mk([[0.1] * 7, [1, 2, 3, 4, 5, 6, 7], [1] * 7],
+                    [0, 0, 0, 1, 1, 1, 1])
+        rep = windows.anova_f(m)
+        assert rep.scores["f0"] == rep.scores["f2"] == 0.0
+        assert rep.scores["f1"] == pytest.approx(15.0, rel=1e-12)
+        assert rep.ranked == ("f1", "f0", "f2")
+
     def test_tie_break_by_catalog_order(self):
         col = [1, 2, 3, 4, 5, 6]
         m = self.mk([col, col], [0, 0, 0, 1, 1, 1])
         assert windows.anova_f(m).ranked == ("f0", "f1")
+
+    @pytest.mark.parametrize("seed", [4, 6, 7, 9])
+    def test_equal_columns_tie_exactly_in_wide_matrix(self, seed):
+        # With OpenBLAS, these seeds give a cross-product GEMM whose diagonal
+        # entries for the two equal columns differ in the last bit.
+        X = np.random.default_rng(seed).normal(size=(150, 14))
+        X[:, 9] = X[:, 2]
+        rep = windows.anova_f(self.mk(X.T, np.arange(150) % 2))
+        assert rep.scores["f2"] == rep.scores["f9"]
+        assert rep.ranked.index("f2") + 1 == rep.ranked.index("f9")
 
     def test_single_class_error(self):
         m = self.mk([[1, 2, 3, 4]], [0, 0, 0, 0])
@@ -200,6 +219,14 @@ class TestStandardize:
         X = np.c_[np.ones(6), np.arange(6.0)]
         m = windows.FeatureMatrix(("s",) * 6, np.array([0, 0, 0, 1, 1, 1]),
                                   np.zeros(6), X, ("const", "var"))
+        scaler, tr, _ = windows.standardize(m)
+        assert scaler.dropped == ("const",)
+        assert tr.columns == ("var",)
+
+    def test_rounded_constant_column_dropped(self):
+        X = np.c_[np.full(7, 0.1), np.arange(7.0)]
+        m = windows.FeatureMatrix(("s",) * 7, np.array([0, 0, 0, 1, 1, 1, 1]),
+                                  np.zeros(7), X, ("const", "var"))
         scaler, tr, _ = windows.standardize(m)
         assert scaler.dropped == ("const",)
         assert tr.columns == ("var",)
