@@ -78,7 +78,10 @@ class FoldStats:
 
     def zscored(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Rows of X, restricted to the fold's columns and z-scored."""
-        return (X[np.ix_(rows, self.cols)] - self.mean) / self.std
+        Z = X[rows][:, self.cols].astype(float, copy=False)  # faster than np.ix_
+        Z -= self.mean
+        Z /= self.std
+        return Z
 
     def lda(self) -> models.LdaModel:
         """LDA on the z-scored training rows, from their class moments."""

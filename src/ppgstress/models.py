@@ -23,6 +23,7 @@ SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
 SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
 KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
+KNN_GEMM_MACS = 2 ** 18  # multiply-adds per filter GEMM: small enough for one thread
 _KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
 
 
@@ -85,12 +86,17 @@ class KnnModel:
         nan last. A BLAS filter bounds them, and distances are computed exactly
         only where the filter cannot decide, so the result is exact.
 
-        Filter: for KNN_CHUNK_ROWS test rows at a time, one matmul of [T, 1]
-        with [-2X, |x|^2] gives a_j = |x_j|^2 - 2 t.x_j, the distance less
-        |t|^2, which is the same for every j and so is left out. The minima of
-        k+1 disjoint column blocks are values of k+1 different rows, so their
-        largest is at least the (k+1)-th smallest a_j; the rows at or below it
-        are sorted by a_j. (With k = n every block is one row.)
+        Filter: for KNN_CHUNK_ROWS test rows at a time, [T, 1] times
+        [-2X, |x|^2]^T gives a_j = |x_j|^2 - 2 t.x_j, the distance less |t|^2,
+        which is the same for every j and so is left out. The product is one
+        batched matmul over blocks of training rows, each a GEMM of at most
+        KNN_GEMM_MACS multiply-adds, which OpenBLAS (at its default threshold)
+        runs on one thread. A threaded GEMM this short waits on its slowest
+        thread: with another process busy on one of two CPUs, threaded
+        filters took twice as long. The minima of k+1 disjoint column blocks
+        are values of k+1 different rows, so their largest is at least the
+        (k+1)-th smallest a_j; the rows at or below it are sorted by a_j.
+        (With k = n every block is one row.)
 
         Bound: with u = eps/2, an m-term dot product is off by at most
         gamma_m = m u / (1 - m u) times the sum of its terms' magnitudes, in
@@ -122,17 +128,26 @@ class KnnModel:
         near = min(k + 1, n)  # smallest a_j kept per row: the k, and one to check
         with np.errstate(over="ignore", invalid="ignore"):
             xx = np.sum(self.X ** 2, axis=1)
-            W = np.vstack([-2.0 * self.X.T, xx])
+            W = np.empty((n, d + 1))  # [-2X, |x|^2], filled in place: np.c_ copies slowly
+            np.multiply(self.X, -2.0, out=W[:, :d])
+            W[:, d] = xx
             scale = np.sum(X ** 2, axis=1) + xx.max()
             slack = 4 * (d + 2) * f64.eps * scale + d * f64.tiny
             slack[~(scale <= _KNN_SCALE_CAP)] = np.inf
         T = np.c_[X, np.ones(len(X))]
+        per_gemm = max(1, KNN_GEMM_MACS // (KNN_CHUNK_ROWS * (d + 1)))  # training rows
+        gemms = n // per_gemm
+        split = gemms * per_gemm  # rows from here on make one last, smaller GEMM
+        blocked = W[:split].reshape(gemms, per_gemm, d + 1).transpose(0, 2, 1)
         buf = np.empty((min(len(X), KNN_CHUNK_ROWS), n))  # reused: fresh blocks page-fault
         idx = np.empty((len(X), k), dtype=np.intp)
         for lo in range(0, len(X), KNN_CHUNK_ROWS):
             t = T[lo:lo + KNN_CHUNK_ROWS]
+            a = buf[:len(t)]
             with np.errstate(over="ignore", invalid="ignore"):
-                a = np.matmul(t, W, out=buf[:len(t)])
+                np.matmul(t, blocked, out=a[:, :split].reshape(
+                    len(t), gemms, per_gemm).transpose(1, 0, 2))
+                np.matmul(t, W[split:].T, out=a[:, split:])
                 blocks = a[:, :n // near * near].reshape(len(t), near, -1)
                 top = blocks.min(axis=2).max(axis=1)
                 flat = np.flatnonzero(~(a > top[:, None]))

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,13 +159,18 @@ class TestKnn:
         with pytest.raises(ValidationError, match="3 columns"):
             m.predict_proba(np.zeros(shape))
 
-    @given(adversarial_knn_case())
+    @given(adversarial_knn_case(), st.one_of(st.none(), st.integers(1, 41)))
     @settings(max_examples=300, deadline=None)
-    def test_neighbours_match_brute_force_reference(self, case):
+    def test_neighbours_match_brute_force_reference(self, case, rows_per_gemm):
         X, T, k = case
         # Distinct powers of two: a mean of k of them names the rows taken.
         y = 2.0 ** np.arange(len(X))
-        with np.errstate(invalid="ignore", over="ignore"):
+        # Small filter GEMMs split the training rows into several blocks and
+        # a remainder; None keeps the default, one block at these sizes.
+        macs = (models.KNN_GEMM_MACS if rows_per_gemm is None
+                else rows_per_gemm * models.KNN_CHUNK_ROWS * (X.shape[1] + 1))
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(models, "KNN_GEMM_MACS", macs):
             want = y[scalar_knn.knn_indices(X, T, k)].mean(axis=1)
             got = models.KnnModel(X, y, k).predict_proba(T)
         np.testing.assert_array_equal(got, want)
