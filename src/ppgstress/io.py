@@ -8,10 +8,11 @@ ground truth.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import warnings
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DataError, ValidationError
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
-# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP 4a).
+# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 3).
 FLOAT_FMT = "%.12g"
 
 
@@ -73,11 +74,12 @@ class PpgTrace:
     suds: tuple[SudsRating, ...] = ()
 
     def __post_init__(self):
+        # nan fails both comparisons, so it is refused with inf.
+        if not (isinstance(self.fs, numbers.Real) and 25.0 <= self.fs < math.inf):
+            raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
+                                  f"number >= 25 Hz, got {self.fs!r}")
+        object.__setattr__(self, "fs", float(self.fs))
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.fs < 25.0:
-            raise ValidationError(
-                f"subject {self.subject_id}: fs={self.fs} Hz is below the 25 Hz floor"
-            )
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError(f"subject {self.subject_id}: non-finite PPG samples")
         dur = self.duration_s
@@ -134,8 +136,8 @@ class SynthCohortSpec:
         if self.n_subjects < 1:
             raise ValidationError("n_subjects must be >= 1")
         for name in ("fs", "span_s", "relaxed_hr", "stressed_hr"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
 
@@ -275,22 +277,69 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     return manifest
 
 
-def _read_csv(path: Path, expected_header: list[str], subject: str):
+def _check_header(path: Path, header: list[str], subject: str) -> None:
+    """Require a cohort CSV to exist and to start with `header`."""
     if not path.exists():
         raise ValidationError(f"subject {subject}: file not found: {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"subject {subject}: empty file {path}") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ValidationError(
-                f"subject {subject}: {path} header {header} != {expected_header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    with open(path, errors="replace") as f:
+        first = f.readline()
+    got = first.rstrip("\n").split(",")
+    if [h.strip() for h in got] != header:
+        raise ValidationError(f"subject {subject}: " + (
+            f"{path} header {got} != {header}" if first else f"empty file {path}"))
+
+
+def _rows(base: Path, name: str, header: list[str], subject: str, parse,
+          what: str) -> list:
+    """`parse(*fields)` of each non-blank line of `base / name`; a ValueError or
+    ValidationError from it, or a wrong field count, names the line."""
+    _check_header(base / name, header, subject)
+    out = []
+    with open(base / name, errors="replace") as f:  # a bad byte fails as non-ASCII
+        for lineno, line in enumerate(f, start=1):
+            if lineno == 1 or line == "\n":
                 continue
-            yield lineno, row
+            fields = line.rstrip("\n").split(",")
+            try:
+                if len(fields) != len(header):
+                    raise ValueError
+                out.append(parse(*fields))
+            except (ValueError, ValidationError) as e:
+                why = e if isinstance(e, ValidationError) else f"bad {what}"
+                raise ValidationError(
+                    f"subject {subject}: {why} at {name}:{lineno}") from None
+    return out
+
+
+def _number(text: str) -> float:
+    """`float` on the grammar that `np.loadtxt` reads: ASCII, no `_` separators."""
+    if not text.strip().isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
+def _samples(base: Path, name: str, subject: str) -> np.ndarray:
+    """The signal column, parsed by one `np.loadtxt` call. If that fails, or
+    finds no samples and warns, `_rows` parses the file to name the bad line."""
+    _check_header(base / name, ["ppg"], subject)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            x = np.loadtxt(base / name, delimiter=",", skiprows=1, comments=None, ndmin=2)
+            if x.shape[1] == 1:
+                return x[:, 0]
+        except (ValueError, UserWarning):
+            pass
+    return np.array(_rows(base, name, ["ppg"], subject, _number, "sample"), dtype=float)
+
+
+def _rating(time: str, value: str) -> SudsRating:
+    time_s, v = _number(time), _number(value)
+    if not math.isfinite(time_s):
+        raise ValidationError(f"SUDs time must be finite, got {time!r}")
+    if not v.is_integer():  # nan and inf included
+        raise ValidationError(f"SUDs must be a whole number, got {value!r}")
+    return SudsRating(time_s, int(v))
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -301,56 +350,24 @@ def load_dataset(manifest_path) -> Dataset:
     with open(manifest_path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise ValidationError(f"malformed manifest {manifest_path}: {e}") from None
-    if not isinstance(doc, dict) or "subjects" not in doc:
-        raise ValidationError(f"manifest {manifest_path} missing 'subjects' key")
+    if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
+        raise ValidationError(f"manifest {manifest_path} has no 'subjects' list")
     base = manifest_path.parent
     traces = []
-    for entry in doc["subjects"]:
-        for key in ("id", "fs", "signal", "annotations", "suds"):
-            if key not in entry:
-                raise ValidationError(f"manifest entry missing {key!r}: {entry}")
+    keys = ("id", "fs", "signal", "annotations", "suds")
+    for i, entry in enumerate(doc["subjects"], start=1):
+        if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
+            raise ValidationError(f"manifest subject {i} is not an object with keys "
+                                  f"{', '.join(keys)}: {entry!r}")
         sid = str(entry["id"])
-        samples = []
-        for lineno, row in _read_csv(base / entry["signal"], ["ppg"], sid):
-            try:
-                samples.append(float(row[0]))
-            except ValueError:
-                raise ValidationError(
-                    f"subject {sid}: bad sample at {entry['signal']}:{lineno}") from None
-        spans = []
-        for lineno, row in _read_csv(base / entry["annotations"],
-                                     ["start_s", "end_s", "condition"], sid):
-            try:
-                if len(row) != 3:
-                    raise ValueError
-                spans.append(ConditionSpan(float(row[0]), float(row[1]),
-                                           Condition.parse(row[2])))
-            except ValidationError as e:
-                raise ValidationError(
-                    f"subject {sid}: {e} at {entry['annotations']}:{lineno}") from None
-            except ValueError:
-                raise ValidationError(
-                    f"subject {sid}: bad annotation at {entry['annotations']}:{lineno}"
-                ) from None
-        ratings = []
-        for lineno, row in _read_csv(base / entry["suds"], ["time_s", "value"], sid):
-            try:
-                if len(row) != 2:
-                    raise ValueError
-                time_s, value = float(row[0]), float(row[1])
-                if not math.isfinite(time_s):
-                    raise ValidationError(f"SUDs time must be finite, got {row[0]!r}")
-                if not value.is_integer():  # nan and inf included
-                    raise ValidationError(f"SUDs must be a whole number, got {row[1]!r}")
-                ratings.append(SudsRating(time_s, int(value)))
-            except ValidationError as e:
-                raise ValidationError(
-                    f"subject {sid}: {e} at {entry['suds']}:{lineno}") from None
-            except ValueError:
-                raise ValidationError(
-                    f"subject {sid}: bad SUDs row at {entry['suds']}:{lineno}") from None
-        traces.append(PpgTrace(sid, float(entry["fs"]), np.array(samples),
-                               tuple(spans), tuple(ratings)))
+        traces.append(PpgTrace(
+            sid, entry["fs"], _samples(base, entry["signal"], sid),
+            tuple(_rows(base, entry["annotations"], ["start_s", "end_s", "condition"],
+                        sid, lambda start, end, condition: ConditionSpan(
+                            _number(start), _number(end), Condition.parse(condition)),
+                        "annotation")),
+            tuple(_rows(base, entry["suds"], ["time_s", "value"], sid, _rating,
+                        "SUDs row"))))
     return Dataset(tuple(traces))

@@ -111,25 +111,6 @@ class FeatureMatrix:
                 f.write(f"{self.subjects[i]},{self.labels[i]},"
                         f"{'%.17g' % self.starts[i]},{vals}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "FeatureMatrix":
-        with open(path) as f:
-            header = f.readline().strip().split(",")
-            if header[:3] != ["subject", "label", "start_s"]:
-                raise ValidationError(f"bad feature-matrix header in {path}")
-            columns = tuple(header[3:])
-            subjects, labels, starts, rows = [], [], [], []
-            for lineno, line in enumerate(f, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != 3 + len(columns):
-                    raise ValidationError(f"{path}:{lineno}: wrong field count")
-                subjects.append(parts[0])
-                labels.append(int(parts[1]))
-                starts.append(float(parts[2]))
-                rows.append([float(v) for v in parts[3:]])
-        return cls(tuple(subjects), np.array(labels), np.array(starts),
-                   np.array(rows), columns)
-
 
 def prepare_trace(trace: PpgTrace) -> pulse.RrSeries:
     """Filter a trace, detect peaks, screen to an RrSeries."""

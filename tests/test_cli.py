@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -197,6 +198,15 @@ class TestSuds:
         code, _, err = run(capsys, "suds", "--manifest", str(tmp_path / "manifest.json"))
         assert code == 1
         assert err.startswith("error:") and "S01_suds.csv:2" in err
+
+    @pytest.mark.parametrize("fs", ['"abc"', "null", "NaN", "Infinity"])
+    def test_bad_manifest_fs_exit_code(self, tmp_path, capsys, fs):
+        run(capsys, "synth", "--subjects", "1", "--seed", "3", "--out", str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(re.sub(r'"fs": [^,]*', f'"fs": {fs}', manifest.read_text()))
+        code, _, err = run(capsys, "eval", "--manifest", str(manifest))
+        assert code == 1
+        assert err.startswith("error: subject S01: fs must be a finite number >= 25 Hz")
 
 
 class TestCatalog:

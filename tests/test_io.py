@@ -1,5 +1,13 @@
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppgstress import io
 from ppgstress.errors import DataError, ValidationError
@@ -9,6 +17,15 @@ class TestTypes:
     def test_fs_floor(self):
         with pytest.raises(ValidationError, match="25 Hz"):
             io.PpgTrace("s1", 10.0, np.zeros(100))
+
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, "100", None, True])
+    def test_fs_not_a_finite_number(self, fs):
+        with pytest.raises(ValidationError, match=r"subject s1: fs must be a finite "
+                           r"number >= 25 Hz, got "):
+            io.PpgTrace("s1", fs, np.zeros(100))
+
+    def test_fs_stored_as_float(self):
+        assert type(io.PpgTrace("s1", np.int64(100), np.zeros(100)).fs) is float
 
     def test_nonfinite_samples(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -104,6 +121,13 @@ class TestSynthCohort:
         with pytest.raises(ValidationError):
             io.SynthCohortSpec(fs=-1)
 
+    @pytest.mark.parametrize("name", ["fs", "span_s", "relaxed_hr", "stressed_hr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_spec(self, name, value):
+        # An infinite span_s would loop forever in plan_rr, a nan fs fail in round().
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            io.SynthCohortSpec(**{name: value})
+
 
 class TestRoundTrip:
     def test_save_load_value_equal(self, tmp_path):
@@ -170,3 +194,157 @@ class TestRoundTrip:
         with pytest.raises(ValidationError,
                            match=r"subject S01: bad annotation at S01_annotations.csv:2$"):
             io.load_dataset(manifest)
+
+
+@pytest.fixture
+def saved1(tmp_path):
+    """A saved 1-subject cohort: (manifest path, the dataset loaded from it)."""
+    manifest = io.save_dataset(io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3)),
+                               tmp_path)
+    return manifest, io.load_dataset(manifest)
+
+
+class TestSignalParse:
+    """The signal column is parsed by np.loadtxt; none of its behaviour leaks."""
+
+    @pytest.mark.parametrize("row", [
+        "0.5,junk", "0.5,", "0.5,0.7", "junk", "   ", "#1", "1_000", '"0.5"',
+        "\u0661\u0662", "0x10",
+    ])
+    def test_bad_row_named_with_line(self, saved1, row):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text(f"ppg\n0.1\n0.2\n{row}\n0.3\n",
+                                                     encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^subject S01: bad sample at S01_ppg.csv:4$"):
+            io.load_dataset(manifest)
+
+    def test_undecodable_byte_named(self, saved1):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_bytes(b"ppg\n0.1\n0.\xff2\n0.3\n")
+        with pytest.raises(ValidationError, match=r"bad sample at S01_ppg.csv:3$"):
+            io.load_dataset(manifest)
+
+    @pytest.mark.parametrize("text", ["ppg\n0.5,0.7\n", "ppg\n0.5,0.7\n0.1,0.2\n"])
+    def test_rows_of_two_fields_named(self, saved1, text):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text(text)
+        with pytest.raises(ValidationError, match=r"bad sample at S01_ppg.csv:2$"):
+            io.load_dataset(manifest)
+
+    def test_one_sample_is_1d(self, saved1):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text("ppg\n0.25\n")
+        (manifest.parent / "S01_annotations.csv").write_text("start_s,end_s,condition\n")
+        (manifest.parent / "S01_suds.csv").write_text("time_s,value\n")
+        (tr,) = io.load_dataset(manifest)
+        assert tr.samples.shape == (1,) and tr.samples[0] == 0.25
+
+    @pytest.mark.parametrize("text", ["ppg\n", "ppg\n\n\n", "ppg"])
+    def test_header_only_no_numpy_warning(self, saved1, text):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"^subject S01: span ends at .*s, trace is 0.0s$"):
+                io.load_dataset(manifest)
+
+    def test_empty_file(self, saved1):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text("")
+        with pytest.raises(ValidationError, match="subject S01: empty file .*S01_ppg.csv"):
+            io.load_dataset(manifest)
+
+    def test_wrong_header(self, saved1):
+        manifest, _ = saved1
+        (manifest.parent / "S01_ppg.csv").write_text("ppg,x\n0.1,0.2\n")
+        with pytest.raises(ValidationError, match=r"header \['ppg', 'x'\] != \['ppg'\]"):
+            io.load_dataset(manifest)
+
+    def test_blank_lines_and_crlf_load_equal(self, saved1):
+        manifest, (tr,) = saved1
+        for name in ("S01_ppg.csv", "S01_annotations.csv", "S01_suds.csv"):
+            path = manifest.parent / name
+            lines = path.read_text().splitlines()
+            lines.insert(2, "")
+            path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        (back,) = io.load_dataset(manifest)
+        assert np.array_equal(back.samples, tr.samples)
+        assert back.annotations == tr.annotations and back.suds == tr.suds
+
+    def test_samples_equal_float_of_each_line(self, saved1):
+        manifest, (tr,) = saved1
+        lines = (manifest.parent / "S01_ppg.csv").read_text().splitlines()[1:]
+        assert tr.samples.dtype == np.float64
+        assert np.array_equal(tr.samples, [float(v) for v in lines])
+
+
+class TestManifest:
+    def _edit(self, manifest, **entry):
+        doc = json.loads(manifest.read_text())
+        doc["subjects"][0].update(entry)
+        manifest.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("fs", ["abc", None, math.nan, math.inf, 10.0, [100]])
+    def test_bad_fs_named(self, saved1, fs):
+        manifest, _ = saved1
+        self._edit(manifest, fs=fs)
+        with pytest.raises(ValidationError, match=r"^subject S01: fs must be a finite number"):
+            io.load_dataset(manifest)
+
+    @pytest.mark.parametrize("text", [b'{"subjects": [\xff]}', b'{"subjects": ['])
+    def test_malformed_manifest(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_bytes(text)
+        with pytest.raises(ValidationError, match="malformed manifest"):
+            io.load_dataset(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("subjects", [5, "S01", {"id": "S01"}, None])
+    def test_subjects_not_a_list(self, tmp_path, subjects):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"subjects": subjects}))
+        with pytest.raises(ValidationError, match="has no 'subjects' list"):
+            io.load_dataset(manifest)
+
+    @pytest.mark.parametrize("entry", [5, "S01", [1, 2], {"id": "S01", "fs": 100.0}])
+    def test_entry_not_an_object_with_keys(self, tmp_path, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"subjects": [entry]}))
+        with pytest.raises(ValidationError, match="manifest subject 1 is not an object "
+                           "with keys id, fs, signal, annotations, suds"):
+            io.load_dataset(manifest)
+
+
+# Each turns a data line of any cohort CSV into one the loader must refuse.
+CORRUPTIONS = {
+    "extra field": lambda line: line + ",junk",
+    "empty extra field": lambda line: line + ",",
+    "comment mark": lambda line: "#" + line,
+    "digit separator": lambda line: ",".join(["1_000"] + line.split(",")[1:]),
+    "non-ASCII digit": lambda line: ",".join(["\u0661"] + line.split(",")[1:]),
+    "word": lambda line: "junk",
+    "spaces": lambda line: "   ",
+}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), n_subjects=st.integers(1, 2),
+       fs=st.sampled_from([25.0, 40.0]), data=st.data())
+def test_corrupt_line_named(seed, n_subjects, fs, data):
+    ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=n_subjects, seed=seed, fs=fs,
+                                            span_s=60.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = io.save_dataset(ds, tmp)
+        files = sorted(p for p in Path(tmp).glob("*.csv")
+                       if len(p.read_text().splitlines()) > 1)
+        path = data.draw(st.sampled_from(files), label="file")
+        lines = path.read_text().splitlines()
+        i = data.draw(st.integers(1, len(lines) - 1), label="line index")
+        how = data.draw(st.sampled_from(sorted(CORRUPTIONS)), label="corruption")
+        lines[i] = CORRUPTIONS[how](lines[i])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            io.load_dataset(manifest)
+    sid = path.name.split("_")[0]
+    assert str(err.value).startswith(f"subject {sid}: ")
+    assert str(err.value).endswith(f" at {path.name}:{i + 1}")
