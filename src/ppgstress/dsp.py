@@ -16,13 +16,7 @@ class BiquadCascade:
 
     sos: np.ndarray
     order: int
-    low_hz: float
-    high_hz: float
     fs: float
-
-    @property
-    def n_sections(self) -> int:
-        return self.sos.shape[0]
 
 
 def design_butter_bandpass(order: int, low_hz: float, high_hz: float,
@@ -46,7 +40,7 @@ def design_butter_bandpass(order: int, low_hz: float, high_hz: float,
                 f"unstable section in order-{order} design for {low_hz:g}-"
                 f"{high_hz:g} Hz at fs={fs}; reduce the order or move the "
                 "edges away from 0 and fs/2")
-    return BiquadCascade(sos, order, low_hz, high_hz, fs)
+    return BiquadCascade(sos, order, fs)
 
 
 def freq_response(cascade: BiquadCascade, freqs_hz) -> np.ndarray:

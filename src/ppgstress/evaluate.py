@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, asdict
 from itertools import combinations
@@ -15,9 +14,7 @@ from . import models, moments
 from .errors import DataError, ValidationError
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
-                      f_scores, prepare_trace, rank, scaling)
-
-log = logging.getLogger(__name__)
+                      prepare_trace, select)
 
 EXACT_U_CAP = 16
 # Features kept by the per-fold ANOVA-F selection.
@@ -96,33 +93,17 @@ def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
 
     The moments of each (subject, class) group of rows are taken once; a
     fold's class moments merge those of every other subject
-    (`moments.leave_one_out`). Its ANOVA-F ranking (`f_scores`, `rank`),
-    top-k selection and scaler (`scaling`, zero-variance columns dropped)
-    come from them.
+    (`moments.leave_one_out`). Its ANOVA-F ranking, top-k selection and
+    scaler, zero-variance columns dropped, come from them by `windows.select`.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     models._check_two_classes(matrix.labels)
     groups = moments.stack([moments.by_class(matrix.X[matrix.codes == code],
                                              matrix.labels[matrix.codes == code])
                             for code in range(len(matrix.subject_ids))])
-    folds = []
-    for code, classes in enumerate(moments.leave_one_out(groups)):
-        if np.any(classes.n < 2):
-            raise DataError("ANOVA needs >= 2 rows in each class")
-        f = f_scores(classes)
-        top = rank(f)[:k]
-        mean, std = scaling(moments.merge(classes[0], classes[1]))
-        cols = top[std[top] > 0]
-        if not len(cols):
-            raise DataError("all training columns have zero variance")
-        if len(cols) < len(top):
-            log.info("dropping zero-variance columns: %s", ", ".join(
-                matrix.columns[i] for i in top if std[i] == 0))
-        folds.append(FoldStats(np.flatnonzero(matrix.codes != code),
-                               np.flatnonzero(matrix.codes == code), f, cols,
-                               mean[cols], std[cols], classes))
-    return folds
+    return [FoldStats(np.flatnonzero(matrix.codes != code),
+                      np.flatnonzero(matrix.codes == code),
+                      *select(classes, k, matrix.columns), classes)
+            for code, classes in enumerate(moments.leave_one_out(groups))]
 
 
 def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
+from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
-# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 3).
+# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 7).
 FLOAT_FMT = "%.12g"
 
 
@@ -74,6 +75,11 @@ class PpgTrace:
     suds: tuple[SudsRating, ...] = ()
 
     def __post_init__(self):
+        # The id names the subject's files and is a field of the feature CSV.
+        if not (isinstance(self.subject_id, str) and self.subject_id
+                and not set(self.subject_id) & set(",\r\n/\\")):
+            raise ValidationError(f"subject id {self.subject_id!r} must be non-empty "
+                                  "and hold no ',', CR, LF, '/' or '\\'")
         # nan fails both comparisons, so it is refused with inf.
         if not (isinstance(self.fs, numbers.Real) and 25.0 <= self.fs < math.inf):
             raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
@@ -130,16 +136,21 @@ class SynthCohortSpec:
     stressed_hrv: tuple[float, float] = (15.0, 10.0)
     noise_sigma: float = 0.02
     seed: int = 0
-    dicrotic: bool = False
 
     def __post_init__(self):
-        if self.n_subjects < 1:
-            raise ValidationError("n_subjects must be >= 1")
+        if not (isinstance(self.n_subjects, numbers.Integral) and self.n_subjects >= 1):
+            raise ValidationError(f"n_subjects must be a whole number >= 1, "
+                                  f"got {self.n_subjects!r}")
         for name in ("fs", "span_s", "relaxed_hr", "stressed_hr"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        # plan_rr would clip a nan interval to RR_MIN_MS without complaint.
+        for name in ("relaxed_hrv", "stressed_hrv"):
+            if not (len(amps := getattr(self, name)) == 2
+                    and all(map(math.isfinite, amps))):
+                raise ValidationError(f"{name} must be two finite amplitudes in ms")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError("noise_sigma must be >= 0 and finite")
 
 
 PULSE_WIDTH_S = 0.3
@@ -184,8 +195,9 @@ def synth_ppg(
     rr = np.asarray(rr_plan_ms, dtype=float)
     if rr.size == 0:
         raise DataError("rr_plan is empty")
-    if np.any(rr < 300) or np.any(rr > 2000):
-        raise ValidationError("rr_plan values must lie in [300, 2000] ms")
+    if np.any(rr < RR_MIN_MS) or np.any(rr > RR_MAX_MS):
+        raise ValidationError(
+            f"rr_plan values must lie in [{RR_MIN_MS:g}, {RR_MAX_MS:g}] ms")
     beat_times = np.cumsum(rr) / 1000.0
     n = int(round((beat_times[-1] + PULSE_WIDTH_S) * fs))
     x = _render_beats(beat_times, fs, n, dicrotic)
@@ -207,7 +219,7 @@ def plan_rr(mean_rr_ms: float, lf_ms: float, hf_ms: float, span_s: float,
     while t < t0_s + span_s:
         r = mean_rr_ms + lf_ms * math.sin(2 * math.pi * 0.1 * t) \
             + hf_ms * math.sin(2 * math.pi * 0.25 * t)
-        r = min(2000.0, max(300.0, r))
+        r = min(RR_MAX_MS, max(RR_MIN_MS, r))
         rr.append(r)
         t += r / 1000.0
     return np.array(rr)
@@ -238,8 +250,7 @@ def synth_cohort(spec: SynthCohortSpec) -> Dataset:
             k += 1
         traces.append(synth_ppg(
             rr_plan, spec.fs, spec.noise_sigma, seed=int(rng.integers(2**31)),
-            subject_id=f"S{i + 1:02d}", dicrotic=spec.dicrotic,
-            annotations=spans, suds=tuple(ratings),
+            subject_id=f"S{i + 1:02d}", annotations=spans, suds=tuple(ratings),
         ))
     return Dataset(tuple(traces))
 

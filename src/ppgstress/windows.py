@@ -170,8 +170,10 @@ def f_scores(classes: moments.Moments) -> np.ndarray:
 
     MSB = n0 n1 / n (mean1 - mean0)^2 (df = 1) and MSW = (ss0 + ss1) / (n - 2).
     A column constant over all rows gets 0; one constant within each class
-    but not over both (MSW = 0) gets +inf.
+    but not over both (MSW = 0) gets +inf. Each class needs 2 rows or more.
     """
+    if np.any(classes.n < 2):
+        raise DataError("ANOVA needs >= 2 rows in each class")
     (n0, n1), (m0, m1) = classes.n, classes.mean
     n = n0 + n1
     msb = n0 * n1 / n * (m1 - m0) ** 2
@@ -191,21 +193,23 @@ def rank(f: np.ndarray) -> np.ndarray:
     return np.argsort(-f, kind="stable")
 
 
+def top_k(ranked, k: int):
+    """The first k of a ranking (k clipped to its length)."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return ranked[:k]
+
+
 def anova_f(m: FeatureMatrix) -> SelectionReport:
     """ANOVA F per column (`f_scores` of the matrix's two classes)."""
-    classes = moments.by_class(m.X, m.labels)
-    if np.any(classes.n < 2):
-        raise DataError("ANOVA needs >= 2 rows in each class")
-    f = f_scores(classes)
+    f = f_scores(moments.by_class(m.X, m.labels))
     return SelectionReport(dict(zip(m.columns, f.tolist())),
                            tuple(m.columns[i] for i in rank(f)))
 
 
 def select_top_k(m: FeatureMatrix, report: SelectionReport, k: int) -> FeatureMatrix:
     """Restrict the matrix to the top-k ranked features (k clipped to width)."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return m.with_columns(report.ranked[:min(k, len(m.columns))])
+    return m.with_columns(top_k(report.ranked, k))
 
 
 def scaling(total: moments.Moments) -> tuple[np.ndarray, np.ndarray]:
@@ -215,33 +219,38 @@ def scaling(total: moments.Moments) -> tuple[np.ndarray, np.ndarray]:
     return total.mean, std
 
 
-@dataclass(frozen=True)
-class Scaler:
-    columns: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
-    dropped: tuple[str, ...] = ()
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.std
-
-
-def standardize(train: FeatureMatrix,
-                apply: FeatureMatrix | None = None
-                ) -> tuple[Scaler, FeatureMatrix, FeatureMatrix | None]:
-    """Z-score using training statistics only; zero-variance columns dropped."""
-    mean, std = scaling(moments.of(train.X))
+def _varying(std: np.ndarray, names) -> np.ndarray:
+    """Which columns have std > 0; the names of the others are logged as
+    dropped, and a DataError is raised when none is left."""
     keep = std > 0
     if not np.any(keep):
         raise DataError("all training columns have zero variance")
-    dropped = tuple(c for c, k in zip(train.columns, keep) if not k)
-    if dropped:
-        log.info("dropping zero-variance columns: %s", ", ".join(dropped))
-    kept_cols = tuple(c for c, k in zip(train.columns, keep) if k)
-    scaler = Scaler(kept_cols, mean[keep], std[keep], dropped)
-    tr = replace(train, X=scaler.transform(train.X[:, keep]), columns=kept_cols)
-    ap = None
-    if apply is not None:
-        ap_cols = apply.with_columns(kept_cols)
-        ap = replace(ap_cols, X=scaler.transform(ap_cols.X))
-    return scaler, tr, ap
+    if not np.all(keep):
+        log.info("dropping zero-variance columns: %s",
+                 ", ".join(n for n, kept in zip(names, keep) if not kept))
+    return keep
+
+
+def select(classes: moments.Moments, k: int, columns: tuple[str, ...]) -> tuple:
+    """From a set of training rows' class moments: F of every column, the top-k
+    columns by F less zero-variance ones, and their mean and std (ddof = 1)."""
+    f = f_scores(classes)
+    top = top_k(rank(f), k)
+    mean, std = scaling(moments.merge(classes[0], classes[1]))
+    cols = top[_varying(std[top], [columns[i] for i in top])]
+    return f, cols, mean[cols], std[cols]
+
+
+def standardize(train: FeatureMatrix, apply: FeatureMatrix | None = None
+                ) -> tuple[tuple[str, ...], FeatureMatrix, FeatureMatrix | None]:
+    """Z-score using training statistics only. Zero-variance columns are
+    dropped from both matrices, and their names are returned first."""
+    mean, std = scaling(moments.of(train.X))
+    keep = _varying(std, train.columns)
+    kept = tuple(c for c, k in zip(train.columns, keep) if k)
+
+    def z(m: FeatureMatrix) -> FeatureMatrix:
+        m = m.with_columns(kept)
+        return replace(m, X=(m.X - mean[keep]) / std[keep])
+    return (tuple(c for c, k in zip(train.columns, keep) if not k), z(train),
+            None if apply is None else z(apply))

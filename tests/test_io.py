@@ -46,6 +46,14 @@ class TestTypes:
         with pytest.raises(ValidationError, match=r"SUDs out of \[0,100\]"):
             io.SudsRating(0.0, 120)
 
+    @pytest.mark.parametrize("sid", ["", "S,01", "S\r01", "S\n01", "../x", "a/b",
+                                     "a\\b", None, 7])
+    def test_bad_subject_id_named(self, sid):
+        # A comma adds a field to the feature CSV; a slash moves the saved files.
+        with pytest.raises(ValidationError) as e:
+            io.PpgTrace(sid, 100.0, np.zeros(100))
+        assert str(e.value).startswith(f"subject id {sid!r} must be non-empty")
+
     def test_duplicate_subject_ids(self):
         tr = io.PpgTrace("s1", 100.0, np.zeros(100))
         with pytest.raises(ValidationError, match="duplicate"):
@@ -127,6 +135,24 @@ class TestSynthCohort:
         # An infinite span_s would loop forever in plan_rr, a nan fs fail in round().
         with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
             io.SynthCohortSpec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["relaxed_hrv", "stressed_hrv"])
+    @pytest.mark.parametrize("amps", [(math.nan, 50.0), (40.0, math.inf),
+                                      (-math.inf, 10.0), (40.0,), (1.0, 2.0, 3.0)])
+    def test_hrv_amplitudes_two_finite(self, name, amps):
+        # plan_rr clipped a nan interval to 300 ms: max(300.0, nan) is 300.
+        with pytest.raises(ValidationError, match=f"{name} must be two finite amplitudes"):
+            io.SynthCohortSpec(**{name: amps})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_noise_sigma_finite(self, value):
+        with pytest.raises(ValidationError, match="noise_sigma must be >= 0 and finite"):
+            io.SynthCohortSpec(noise_sigma=value)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1])
+    def test_n_subjects_whole_number(self, value):
+        with pytest.raises(ValidationError, match="n_subjects must be a whole number >= 1"):
+            io.SynthCohortSpec(n_subjects=value)
 
 
 class TestRoundTrip:
@@ -290,6 +316,13 @@ class TestManifest:
         manifest, _ = saved1
         self._edit(manifest, fs=fs)
         with pytest.raises(ValidationError, match=r"^subject S01: fs must be a finite number"):
+            io.load_dataset(manifest)
+
+    @pytest.mark.parametrize("sid", ["S,01", "../x"])
+    def test_bad_id_named(self, saved1, sid):
+        manifest, _ = saved1
+        self._edit(manifest, id=sid)
+        with pytest.raises(ValidationError, match=f"^subject id {sid!r} must be"):
             io.load_dataset(manifest)
 
     @pytest.mark.parametrize("text", [b'{"subjects": [\xff]}', b'{"subjects": ['])

@@ -219,16 +219,16 @@ class TestStandardize:
         X = np.c_[np.ones(6), np.arange(6.0)]
         m = windows.FeatureMatrix(("s",) * 6, np.array([0, 0, 0, 1, 1, 1]),
                                   np.zeros(6), X, ("const", "var"))
-        scaler, tr, _ = windows.standardize(m)
-        assert scaler.dropped == ("const",)
+        dropped, tr, _ = windows.standardize(m)
+        assert dropped == ("const",)
         assert tr.columns == ("var",)
 
     def test_rounded_constant_column_dropped(self):
         X = np.c_[np.full(7, 0.1), np.arange(7.0)]
         m = windows.FeatureMatrix(("s",) * 7, np.array([0, 0, 0, 1, 1, 1, 1]),
                                   np.zeros(7), X, ("const", "var"))
-        scaler, tr, _ = windows.standardize(m)
-        assert scaler.dropped == ("const",)
+        dropped, tr, _ = windows.standardize(m)
+        assert dropped == ("const",)
         assert tr.columns == ("var",)
 
     def test_all_constant_error(self):
