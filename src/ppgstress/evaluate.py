@@ -8,7 +8,6 @@ from dataclasses import dataclass, asdict
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import models, moments
 from .errors import DataError, ValidationError
@@ -204,6 +203,19 @@ class UTestResult:
         return json.dumps(asdict(self), indent=2)
 
 
+def midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of x, tied values sharing their mean rank, and the size
+    of each group of tied values in ascending order; from one sort."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[first[1:], len(x)]
+    counts = ends - first
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (first + ends + 1), counts)
+    return ranks, counts
+
+
 def _u_from_ranks(ranks_a: np.ndarray, n1: int) -> float:
     return float(np.sum(ranks_a)) - n1 * (n1 + 1) / 2.0
 
@@ -229,7 +241,9 @@ def mann_whitney_u(a, b, mode: str = "auto") -> UTestResult:
             f"exact mode is capped at combined n = {EXACT_U_CAP}, got {n1 + n2}")
 
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)  # midranks under ties
+    if not np.all(np.isfinite(pooled)):
+        raise ValidationError("samples must be finite")
+    ranks, tie_counts = midranks(pooled)
     u1 = _u_from_ranks(ranks[:n1], n1)
     u_min = min(u1, n1 * n2 - u1)
 
@@ -243,7 +257,6 @@ def mann_whitney_u(a, b, mode: str = "auto") -> UTestResult:
         return UTestResult(u_min, None, count / total, n1, n2, "exact")
 
     n = n1 + n2
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n ** 3 - n) / (n * (n - 1)) - tie_term)
     if var <= 0:

@@ -151,6 +151,9 @@ class SynthCohortSpec:
                 raise ValidationError(f"{name} must be two finite amplitudes in ms")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma must be >= 0 and finite")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValidationError(f"seed must be a whole number >= 0, got {self.seed!r}")
 
 
 PULSE_WIDTH_S = 0.3

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from . import moments
 from .errors import DataError, ValidationError
@@ -25,6 +24,14 @@ SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
 KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
 KNN_GEMM_MACS = 2 ** 18  # multiply-adds per filter GEMM: small enough for one thread
 _KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
+
+
+def _sigmoid(x):
+    """The logistic function, 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+    below: no overflow, full relative precision in both tails, and nan
+    passes through without a warning."""
+    e = np.exp(-np.abs(x))
+    return np.where(np.greater_equal(x, 0), 1.0, e) / (1.0 + e)
 
 
 def _check_two_classes(y: np.ndarray):
@@ -224,6 +231,9 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
     a block of SGD_BLOCK steps the weights are s_t * V, s_t the product of the
     L2 shrinks 1 - lr * SGD_L2 so far (Bottou, "Stochastic Gradient Descent
     Tricks", 2012), so a step is a dot product, a sigmoid and a rank-1 update.
+    The sigmoid is 0.5 + 0.5 tanh(m / 2): the block's rows a and updates u
+    hold the exact factors 0.5, so a step is g = tanh(a . V) + 1 - 2y and
+    V -= g u, five ufunc calls.
     After its rows, a fold steps its first row at rate 0 to the end of the
     epoch's last block; one with fewer columns is padded with zero columns.
     Epoch e's loss takes a decision matrix from epoch e+1's z-scored blocks
@@ -263,12 +273,14 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
             if epoch == epochs:
                 continue
             s = np.cumprod(1.0 - lb * SGD_L2, axis=0)  # weight scale after each step
-            np.multiply(a, (lb / s)[..., None], out=u)
-            u[..., -1] = lb
-            a[1:] *= s[:-1, :, None]
-            a[..., -1] = 1.0
-            for a_i, u_i, y_i in zip(a, u, y[rb]):
-                g = _sigmoid(np.vecdot(a_i, V)) - y_i
+            np.multiply(a, (0.5 * lb / s)[..., None], out=u)
+            u[..., -1] = 0.5 * lb
+            a[0] *= 0.5
+            a[1:] *= 0.5 * s[:-1, :, None]
+            a[..., -1] = 0.5
+            for a_i, u_i, c_i in zip(a, u, 1.0 - 2.0 * y[rb]):
+                g = np.tanh(np.vecdot(a_i, V))
+                g += c_i
                 V -= g[:, None] * u_i
             V[:, :-1] *= s[-1][:, None]
         if epoch:

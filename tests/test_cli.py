@@ -39,6 +39,13 @@ class TestSynth:
         assert code == 1
         assert "subjects" in err
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "synth", "--subjects", "1", "--seed", "-1",
+                             "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be a whole number >= 0, got -1"]
+        assert out == "" and not (tmp_path / "d").exists()
+
 
 @pytest.fixture(scope="module")
 def small_manifest(tmp_path_factory):

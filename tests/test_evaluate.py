@@ -190,6 +190,28 @@ class TestMannWhitney:
         with pytest.raises(ValidationError):
             evaluate.mann_whitney_u([], [1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        # A nan rank made the exact p-value 0: no assignment compared <= nan.
+        with pytest.raises(ValidationError, match="finite"):
+            evaluate.mann_whitney_u([1.0, bad], [2.0, 3.0], "exact")
+
+
+# Few distinct values, so most draws hold long runs of ties.
+tied_samples = st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.5, 7.0, 1e300]),
+                        min_size=1, max_size=60)
+
+
+@given(st.one_of(tied_samples, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=1, max_size=60)))
+@settings(max_examples=300, deadline=None)
+def test_midranks_equal_scipy_rankdata(values):
+    from scipy.stats import rankdata
+    x = np.array(values, dtype=float)
+    ranks, counts = evaluate.midranks(x)
+    np.testing.assert_array_equal(ranks, rankdata(x))
+    np.testing.assert_array_equal(counts, np.unique(x, return_counts=True)[1])
+
 
 class TestSudsReport:
     def test_planted_cohort(self, cohort16):

@@ -154,6 +154,18 @@ class TestSynthCohort:
         with pytest.raises(ValidationError, match="n_subjects must be a whole number >= 1"):
             io.SynthCohortSpec(n_subjects=value)
 
+    @pytest.mark.parametrize("value", [-1, 2.5, 2.0, math.nan, math.inf, True, "3",
+                                       np.int64(-2), np.float64(1.0)])
+    def test_seed_whole_number(self, value):
+        # numpy raised ValueError for -1 and TypeError for 2.5 and nan.
+        with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+            io.SynthCohortSpec(seed=value)
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(3), 2 ** 70])
+    def test_seed_accepted(self, value):
+        assert len(io.synth_cohort(io.SynthCohortSpec(n_subjects=1, span_s=60.0,
+                                                      seed=value))) == 1
+
 
 class TestRoundTrip:
     def test_save_load_value_equal(self, tmp_path):

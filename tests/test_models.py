@@ -200,6 +200,20 @@ class TestSgd:
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
 
 
+def test_sigmoid_matches_expit():
+    from scipy.special import expit
+    x = np.r_[np.linspace(-800.0, 800.0, 64001), 0.0, -0.0, 5e-324, -5e-324,
+              np.inf, -np.inf, 1e308, -1e308, np.nan]
+    got, want = models._sigmoid(x), expit(x)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    # A few ulp where expit is a normal number; below that, expit flushes to
+    # 0 from about x = -709 while the true value is subnormal.
+    normal = want >= np.finfo(float).tiny
+    np.testing.assert_array_max_ulp(got[normal], want[normal], maxulp=4)
+    tiny = ~normal & ~np.isnan(want)
+    assert np.all(np.abs(got[tiny] - want[tiny]) <= np.finfo(float).tiny)
+
+
 def test_sigmoid_saturates_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
