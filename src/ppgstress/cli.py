@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suds", help="Mann-Whitney U test on SUDs ratings")
     _add_data_source(p)
-    p.add_argument("--mode", choices=("auto", "exact", "normal"), default="auto")
     p.add_argument("--out", type=Path, help="JSON output path")
 
     sub.add_parser("catalog", help="print the machine-readable feature catalog")
@@ -147,7 +146,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_suds(args) -> int:
     ds = _load_data(args)
-    report = evaluate.suds_report(ds, args.mode)
+    report = evaluate.suds_report(ds)
     text = report.to_json()
     if args.out:
         args.out.write_text(text + "\n")

@@ -24,9 +24,10 @@ from .errors import DataError, ValidationError
 
 # Samples per block of the state-space filter.
 BLOCK = 32
-# Multiply-adds per GEMM of the filter: few enough that OpenBLAS, at its
-# default threshold, runs each on one thread (see models.KNN_GEMM_MACS).
-FILTER_GEMM_MACS = 2 ** 18
+# Multiply-adds per GEMM of this filter and of the KNN filter
+# (models.KnnModel.predict_proba): few enough that OpenBLAS, at its default
+# threshold, runs each on one thread.
+GEMM_MACS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class BiquadCascade:
     """Second-order sections (b0,b1,b2,a1,a2 per row; a0 normalized to 1)."""
 
     sos: np.ndarray
-    order: int
     fs: float
 
     @functools.cached_property
@@ -77,7 +77,7 @@ def design_butter_bandpass(order: int, low_hz: float, high_hz: float,
                 f"{high_hz:g} Hz at fs={fs}; reduce the order or move the "
                 "edges away from 0 and fs/2")
     sos.flags.writeable = False
-    return BiquadCascade(sos, order, fs)
+    return BiquadCascade(sos, fs)
 
 
 def _sections(poles: np.ndarray, order: int) -> np.ndarray:
@@ -190,7 +190,7 @@ class BlockFilter:
         """Filter x from zero state, as one sequential pass would."""
         n, width = len(x), self.gain.shape[1]
         blocks = -(-n // BLOCK)
-        gemms = -(-blocks // max(1, FILTER_GEMM_MACS // (BLOCK * width)))
+        gemms = -(-blocks // max(1, GEMM_MACS // (BLOCK * width)))
         rows = -(-blocks // gemms)  # blocks per GEMM, spread evenly
         xb = np.zeros(gemms * rows * BLOCK)  # trailing zeros do not reach y[:n]
         xb[:n] = x
@@ -219,11 +219,12 @@ def freq_response(cascade: BiquadCascade, freqs_hz) -> np.ndarray:
 def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     """Zero-phase application: filter forward, reverse, filter, reverse.
 
-    Reflection padding (3 * order * 3 samples) absorbs edge transients; the
-    effective magnitude response is |H|^2.
+    Reflection padding (9 samples per section, 3 * order * 3 for a
+    band-pass) absorbs edge transients; the effective magnitude response is
+    |H|^2.
     """
     x = np.asarray(x, dtype=float)
-    pad = 3 * cascade.order * 3
+    pad = 9 * len(cascade.sos)
     if len(x) <= pad:
         raise DataError(f"input too short for zero-phase filtering: "
                         f"{len(x)} samples <= pad {pad}")

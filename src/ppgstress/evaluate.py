@@ -10,11 +10,12 @@ from itertools import combinations
 import numpy as np
 
 from . import models, moments
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, check_seed
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
                       prepare_trace, select)
 
+# Largest combined sample size whose U-test p-value is enumerated exactly.
 EXACT_U_CAP = 16
 # Features kept by the per-fold ANOVA-F selection.
 DEFAULT_K = 35
@@ -124,6 +125,7 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     if model_kind not in models.MODEL_KINDS:
         raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
                               f"{models.MODEL_KINDS}")
+    check_seed(seed)  # echoed into the report, whatever the model
     folds = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
     if model_kind == "sgd":
@@ -162,6 +164,7 @@ def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
 
 def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
     """Permute labels within each subject: the chance-level control."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     labels = matrix.labels.copy()
     for code in range(len(matrix.subject_ids)):
@@ -220,25 +223,18 @@ def _u_from_ranks(ranks_a: np.ndarray, n1: int) -> float:
     return float(np.sum(ranks_a)) - n1 * (n1 + 1) / 2.0
 
 
-def mann_whitney_u(a, b, mode: str = "auto") -> UTestResult:
+def mann_whitney_u(a, b) -> UTestResult:
     """Two-tailed Mann-Whitney U with midranks.
 
-    The reported statistic is min(U, n1*n2 - U). Exact mode enumerates every
-    label assignment (combined n capped at 16); normal mode uses the
-    tie-corrected variance and a 0.5 continuity correction.
+    The reported statistic is min(U, n1*n2 - U). Up to a combined n of
+    EXACT_U_CAP the p-value enumerates every label assignment; above it, it
+    uses the tie-corrected variance and a 0.5 continuity correction.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise ValidationError("both samples must be non-empty")
-    if mode not in ("auto", "exact", "normal"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if n1 + n2 <= EXACT_U_CAP else "normal"
-    if mode == "exact" and n1 + n2 > EXACT_U_CAP:
-        raise ValidationError(
-            f"exact mode is capped at combined n = {EXACT_U_CAP}, got {n1 + n2}")
 
     pooled = np.concatenate([a, b])
     if not np.all(np.isfinite(pooled)):
@@ -247,7 +243,7 @@ def mann_whitney_u(a, b, mode: str = "auto") -> UTestResult:
     u1 = _u_from_ranks(ranks[:n1], n1)
     u_min = min(u1, n1 * n2 - u1)
 
-    if mode == "exact":
+    if n1 + n2 <= EXACT_U_CAP:
         count = total = 0
         for pick in combinations(range(n1 + n2), n1):
             ua = _u_from_ranks(ranks[list(pick)], n1)
@@ -284,7 +280,7 @@ def _summary(values: np.ndarray) -> dict[str, float]:
             "max": float(np.max(values))}
 
 
-def suds_report(ds: Dataset, mode: str = "auto") -> SudsReport:
+def suds_report(ds: Dataset) -> SudsReport:
     """Pool SUDs ratings by their containing condition span and test them."""
     relax, stress = [], []
     for trace in ds:
@@ -302,4 +298,4 @@ def suds_report(ds: Dataset, mode: str = "auto") -> SudsReport:
             raise DataError(
                 f"subject {trace.subject_id} lacks SUDs ratings in both conditions")
     a, b = np.array(relax, dtype=float), np.array(stress, dtype=float)
-    return SudsReport(mann_whitney_u(a, b, mode), _summary(a), _summary(b))
+    return SudsReport(mann_whitney_u(a, b), _summary(a), _summary(b))

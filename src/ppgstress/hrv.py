@@ -82,22 +82,21 @@ class WindowFeatures:
         return not self.flags
 
 
-def window_features(rr: RrSeries, lo, hi, n_rejected,
-                    window_span_s: float) -> tuple[np.ndarray, np.ndarray]:
+def window_features(rr: RrSeries, lo, hi, n_rejected) -> tuple[np.ndarray, np.ndarray]:
     """Catalog rows of the windows `rr.rr_ms[lo[i]:hi[i]]` of one RR series.
 
     Returns `(X, reasons)`: X has a row per window in FEATURE_NAMES order
     (NaN where refused), and `reasons[i, j]` is whether DROP_REASONS[j]
-    applies to window i. A window is refused with fewer than 20 intervals or
-    a span under 60 s; its `n_rejected[i]` screened-out intervals count
-    towards the rejected fraction.
+    applies to window i. A window is refused with fewer than 20 intervals;
+    its `n_rejected[i]` screened-out intervals count towards the rejected
+    fraction. Spans under 60 s are refused before this, by `WindowSpec` and
+    by `all_features`.
     """
     lo, hi, n_rejected = (np.asarray(a, dtype=np.intp)
                           for a in (lo, hi, n_rejected))
     n = hi - lo
     reasons = np.zeros((n.size, len(DROP_REASONS)), dtype=bool)
-    reasons[:, 0] = ((n < SPECTRAL_MIN_INTERVALS)
-                     | (window_span_s < SPECTRAL_MIN_SPAN_S))
+    reasons[:, 0] = n < SPECTRAL_MIN_INTERVALS
     reasons[:, 1] = n_rejected / np.maximum(n + n_rejected, 1) > MAX_REJECTED_FRAC
     X = np.full((n.size, len(FEATURE_NAMES)), np.nan)
     ok = np.flatnonzero(~reasons[:, 0])
@@ -159,8 +158,7 @@ def nonlinear(rr_ms) -> WindowFeatures:
 def all_features(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     """All catalog features for one window; any sub-domain flag marks it unusable."""
     _refuse(rr, window_span_s)
-    X, reasons = window_features(rr, [0], [rr.rr_ms.size], [rr.n_rejected],
-                                 window_span_s)
+    X, reasons = window_features(rr, [0], [rr.rr_ms.size], [rr.n_rejected])
     return WindowFeatures(dict(zip(FEATURE_NAMES, X[0].tolist())),
                           tuple(r for r, on in zip(DROP_REASONS, reasons[0]) if on))
 

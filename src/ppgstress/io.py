@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, check_seed
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
@@ -151,9 +151,7 @@ class SynthCohortSpec:
                 raise ValidationError(f"{name} must be two finite amplitudes in ms")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma must be >= 0 and finite")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ValidationError(f"seed must be a whole number >= 0, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 PULSE_WIDTH_S = 0.3

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moments
-from .errors import DataError, ValidationError
+from . import dsp, moments
+from .errors import DataError, ValidationError, check_seed
 
 MODEL_KINDS = ("lda", "knn", "sgd")
 LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
@@ -22,7 +22,6 @@ SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
 SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
 KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
-KNN_GEMM_MACS = 2 ** 18  # multiply-adds per filter GEMM: small enough for one thread
 _KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
 
 
@@ -97,7 +96,7 @@ class KnnModel:
         [-2X, |x|^2]^T gives a_j = |x_j|^2 - 2 t.x_j, the distance less |t|^2,
         which is the same for every j and so is left out. The product is one
         batched matmul over blocks of training rows, each a GEMM of at most
-        KNN_GEMM_MACS multiply-adds, which OpenBLAS (at its default threshold)
+        dsp.GEMM_MACS multiply-adds, which OpenBLAS (at its default threshold)
         runs on one thread. A threaded GEMM this short waits on its slowest
         thread: with another process busy on one of two CPUs, threaded
         filters took twice as long. The minima of k+1 disjoint column blocks
@@ -142,7 +141,7 @@ class KnnModel:
             slack = 4 * (d + 2) * f64.eps * scale + d * f64.tiny
             slack[~(scale <= _KNN_SCALE_CAP)] = np.inf
         T = np.c_[X, np.ones(len(X))]
-        per_gemm = max(1, KNN_GEMM_MACS // (KNN_CHUNK_ROWS * (d + 1)))  # training rows
+        per_gemm = max(1, dsp.GEMM_MACS // (KNN_CHUNK_ROWS * (d + 1)))  # training rows
         gemms = n // per_gemm
         split = gemms * per_gemm  # rows from here on make one last, smaller GEMM
         blocked = W[:split].reshape(gemms, per_gemm, d + 1).transpose(0, 2, 1)
@@ -215,6 +214,7 @@ def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0, folds=None):
     `(X[rows][:, cols] - mean) / std` with labels `y[rows]`, all folds
     stepped together, and their models come back as an `SgdFolds`.
     """
+    check_seed(seed)
     X = np.asarray(X, dtype=float)
     if folds is not None:
         return SgdFolds(_sgd_fit_folds(X, y, folds, epochs, seed))

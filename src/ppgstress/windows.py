@@ -140,7 +140,7 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
         label = np.array([w.label for w in wins], dtype=int)
         lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
         rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, spec.size_s)
+        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo)
         keep = ~reasons.any(axis=1)
         if not keep.all():
             # Each dropped window counts once, under its first reason.

@@ -146,7 +146,8 @@ def test_5_classifier_sanity():
 
 def test_6_u_test_exactness():
     with criterion(6, "exact U enumeration and U symmetry"):
-        r = evaluate.mann_whitney_u([1, 2, 3], [4, 5, 6], "exact")
+        r = evaluate.mann_whitney_u([1, 2, 3], [4, 5, 6])
+        assert r.method == "exact"
         assert r.u == 0 and r.p_two_tailed == pytest.approx(0.1, rel=1e-12)
         rng = np.random.default_rng(1)
         for _ in range(50):

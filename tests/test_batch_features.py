@@ -100,7 +100,7 @@ def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
     end = np.array([w.end_s for w in wins])
     lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
     rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-    X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, size)
+    X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo)
 
     outcomes = scalar_hrv.window_outcomes(rr, wins, size)
     refused = np.array([feats is None for feats, _ in outcomes])
@@ -198,6 +198,6 @@ def test_one_window_functions_are_the_batch_first_row():
     sl = pulse.slice_window(rr, 10.0, 90.0)
     feats = hrv.all_features(sl, 80.0)
     lo, hi = pulse.window_bounds(rr.rr_times_s, [10.0], [90.0])
-    X, reasons = hrv.window_features(rr, lo, hi, [sl.n_rejected], 80.0)
+    X, reasons = hrv.window_features(rr, lo, hi, [sl.n_rejected])
     assert [list(feats.values.values())] == X.tolist()
     assert feats.flags == () and not reasons.any()

@@ -113,6 +113,13 @@ class TestEval:
             assert (out / f"cv_report_{kind}.json").read_bytes() \
                 == (expected.to_json() + "\n").encode()
 
+    def test_negative_model_seed_usage_error(self, small_manifest, capsys):
+        code, out, err = run(capsys, "eval", "--manifest", str(small_manifest),
+                             "--model", "sgd", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] \
+            == ["error: seed must be a whole number >= 0, got -1"]
+
     def test_unknown_model_usage_error(self, small_manifest, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--manifest", str(small_manifest),
@@ -189,7 +196,7 @@ class TestSuds:
         run(capsys, "synth", "--subjects", "1", "--seed", "3",
             "--out", str(out))
         code, stdout, _ = run(capsys, "suds", "--manifest",
-                              str(out / "manifest.json"), "--mode", "exact")
+                              str(out / "manifest.json"))
         assert code == 0
         assert json.loads(stdout)["utest"]["method"] == "exact"
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppgstress import evaluate, io
@@ -103,6 +103,18 @@ class TestLoso:
         with pytest.raises(DataError):
             evaluate.loso_matrix(solo)
 
+    # numpy raised ValueError for -1 and TypeError for 2.5 and nan; True passed.
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
+    @pytest.mark.parametrize("kind", ["lda", "knn", "sgd"])
+    def test_bad_seed_refused(self, matrix16, kind, seed):
+        with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+            evaluate.loso_matrix(matrix16, model_kind=kind, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
+    def test_bad_shuffle_seed_refused(self, matrix16, seed):
+        with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+            evaluate.shuffle_labels(matrix16, seed=seed)
+
 
 class TestSweep:
     def test_seven_sizes(self):
@@ -146,42 +158,46 @@ def oracle_exact_u(a, b):
 
 class TestMannWhitney:
     def test_textbook_exact_case(self):
-        r = evaluate.mann_whitney_u([1, 2, 3], [4, 5, 6], "exact")
-        assert r.u == 0
+        r = evaluate.mann_whitney_u([1, 2, 3], [4, 5, 6])
+        assert r.u == 0 and r.method == "exact"
         assert r.p_two_tailed == pytest.approx(0.1, rel=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.integers(0, 6, rng.integers(2, 6)).tolist()
-            b = rng.integers(0, 6, rng.integers(2, 6)).tolist()
-            r = evaluate.mann_whitney_u(a, b, "exact")
+        cases = [(rng.integers(0, 6, rng.integers(2, 6)).tolist(),
+                  rng.integers(0, 6, rng.integers(2, 6)).tolist()) for _ in range(10)]
+        # The largest combined n that is still enumerated exactly.
+        cases.append((rng.integers(0, 6, 7).tolist(), rng.integers(0, 6, 9).tolist()))
+        for a, b in cases:
+            r = evaluate.mann_whitney_u(a, b)
+            assert r.method == "exact"
             u, p = oracle_exact_u(a, b)
             assert r.u == pytest.approx(u, abs=1e-9)
             assert r.p_two_tailed == pytest.approx(p, rel=1e-12)
 
     def test_tied_identical_samples(self):
-        r = evaluate.mann_whitney_u([1, 2], [1, 2], "exact")
+        r = evaluate.mann_whitney_u([1, 2], [1, 2])
         assert r.u == 2.0  # n1*n2/2 under midranks
-
-    def test_exact_cap(self):
-        with pytest.raises(ValidationError, match="capped"):
-            evaluate.mann_whitney_u(list(range(10)), list(range(10)), "exact")
+        # All tied above the exact cap: the variance is 0 and p is 1.
+        r = evaluate.mann_whitney_u([1.0] * 9, [1.0] * 8)
+        assert (r.u, r.p_two_tailed, r.method) == (36.0, 1.0, "normal")
 
     def test_normal_mode_strong_separation(self):
         rng = np.random.default_rng(1)
-        a = rng.uniform(5, 25, 48)
-        b = rng.uniform(55, 90, 64)
-        r = evaluate.mann_whitney_u(a, b, "normal")
-        assert r.p_two_tailed < 1e-5
-        assert r.method == "normal"
+        # One past the exact cap (combined n = 17), then a large sample.
+        for n1, n2 in ((8, 9), (48, 64)):
+            a = rng.uniform(5, 25, n1)
+            b = rng.uniform(55, 90, n2)
+            r = evaluate.mann_whitney_u(a, b)
+            assert r.method == "normal"
+            assert r.p_two_tailed < (1e-3 if n1 + n2 == 17 else 1e-5)
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_u_symmetry(self, a, b):
-        ra = evaluate.mann_whitney_u(a, b, "normal")
-        rb = evaluate.mann_whitney_u(b, a, "normal")
+        ra = evaluate.mann_whitney_u(a, b)
+        rb = evaluate.mann_whitney_u(b, a)
         # min-U is symmetric; the raw U1 values complement to n1*n2
         assert ra.u == pytest.approx(rb.u, abs=1e-9)
         assert 0 <= ra.u <= len(a) * len(b)
@@ -194,12 +210,12 @@ class TestMannWhitney:
     def test_non_finite_sample_refused(self, bad):
         # A nan rank made the exact p-value 0: no assignment compared <= nan.
         with pytest.raises(ValidationError, match="finite"):
-            evaluate.mann_whitney_u([1.0, bad], [2.0, 3.0], "exact")
+            evaluate.mann_whitney_u([1.0, bad], [2.0, 3.0])
 
 
 # Few distinct values, so most draws hold long runs of ties.
-tied_samples = st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.5, 7.0, 1e300]),
-                        min_size=1, max_size=60)
+TIED_VALUES = [-2.5, -0.0, 0.0, 1.0, 1.5, 7.0, 1e300]
+tied_samples = st.lists(st.sampled_from(TIED_VALUES), min_size=1, max_size=60)
 
 
 @given(st.one_of(tied_samples, st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -211,6 +227,34 @@ def test_midranks_equal_scipy_rankdata(values):
     ranks, counts = evaluate.midranks(x)
     np.testing.assert_array_equal(ranks, rankdata(x))
     np.testing.assert_array_equal(counts, np.unique(x, return_counts=True)[1])
+
+
+@st.composite
+def normal_branch_samples(draw):
+    """Two samples of combined n above the exact cap: heavily tied, or with
+    no tie at all."""
+    n = draw(st.integers(evaluate.EXACT_U_CAP + 1, 80))
+    n1 = draw(st.integers(1, n - 1))
+    values = draw(st.one_of(
+        st.lists(st.sampled_from(TIED_VALUES), min_size=n, max_size=n),
+        # -0.0 + 0.0 is 0.0: -0.0 and 0.0 tie, so at most one of them is drawn.
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n, unique_by=lambda v: v + 0.0)))
+    return values[:n1], values[n1:]
+
+
+@given(normal_branch_samples())
+@example(([1.0] * 9, [1.0] * 8))  # all tied: variance 0
+@settings(max_examples=300, deadline=None)
+def test_normal_branch_matches_scipy(samples):
+    from scipy.stats import mannwhitneyu
+    a, b = samples
+    r = evaluate.mann_whitney_u(a, b)
+    want = mannwhitneyu(a, b, method="asymptotic", use_continuity=True)
+    n1, n2 = len(a), len(b)
+    assert r.method == "normal"
+    assert r.u == min(want.statistic, n1 * n2 - want.statistic)
+    assert r.p_two_tailed == pytest.approx(want.pvalue, rel=1e-12, abs=0)
 
 
 class TestSudsReport:

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalar_knn
-from ppgstress import models
+from ppgstress import dsp, models
 from ppgstress.errors import DataError, ValidationError
 
 
@@ -167,10 +168,10 @@ class TestKnn:
         y = 2.0 ** np.arange(len(X))
         # Small filter GEMMs split the training rows into several blocks and
         # a remainder; None keeps the default, one block at these sizes.
-        macs = (models.KNN_GEMM_MACS if rows_per_gemm is None
+        macs = (dsp.GEMM_MACS if rows_per_gemm is None
                 else rows_per_gemm * models.KNN_CHUNK_ROWS * (X.shape[1] + 1))
         with np.errstate(invalid="ignore", over="ignore"), \
-                mock.patch.object(models, "KNN_GEMM_MACS", macs):
+                mock.patch.object(dsp, "GEMM_MACS", macs):
             want = y[scalar_knn.knn_indices(X, T, k)].mean(axis=1)
             got = models.KnnModel(X, y, k).predict_proba(T)
         np.testing.assert_array_equal(got, want)
@@ -192,6 +193,12 @@ class TestSgd:
         a = models.sgd_logistic_fit(X, y, seed=5)
         b = models.sgd_logistic_fit(X, y, seed=5)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
+    def test_bad_seed_refused(self, seed):
+        X, y = gaussian_clouds(seed=11)
+        with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+            models.sgd_logistic_fit(X, y, seed=seed)
 
     def test_loss_nonincreasing_within_tolerance(self):
         X, y = gaussian_clouds(seed=10, d=2)
