@@ -1,6 +1,7 @@
 """Command-line surface: synth / features / eval / sweep / suds / catalog.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/data error.
+Exit codes: 0 success, 1 validation error, 2 data error or argparse usage
+error (an unknown or missing option, a bad `--model` choice).
 """
 
 from __future__ import annotations
@@ -12,24 +13,23 @@ import sys
 from pathlib import Path
 
 from . import evaluate, hrv, io, models, windows
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, check_seed
 
 
-def _add_data_source(p: argparse.ArgumentParser):
-    p.add_argument("--manifest", type=Path, help="dataset manifest.json path")
-    p.add_argument("--synth", action="store_true",
-                   help="use a synthetic cohort instead of a manifest")
-    p.add_argument("--subjects", type=int, default=io.SynthCohortSpec.n_subjects,
-                   help="synthetic cohort size (with --synth)")
-    p.add_argument("--seed", type=int, default=0)
+def _add_manifest(p: argparse.ArgumentParser):
+    p.add_argument("--manifest", type=Path, required=True,
+                   help="saved cohort's manifest.json (`synth` writes one)")
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, window: bool = True):
-    if window:
-        p.add_argument("--window", type=float, default=windows.WindowSpec.size_s,
-                       help="window size, seconds")
+def _add_window_flags(p: argparse.ArgumentParser):
+    p.add_argument("--window", type=float, default=windows.WindowSpec.size_s,
+                   help="window size, seconds")
     p.add_argument("--step", type=float, default=windows.WindowSpec.step_s,
                    help="window hop, seconds")
+
+
+def _add_model_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0, help="model seed")
     p.add_argument("--k", type=int, default=evaluate.DEFAULT_K,
                    help="features kept by ANOVA-F")
 
@@ -50,41 +50,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("features", help="extract the feature matrix to CSV")
-    _add_data_source(p)
-    _add_pipeline_flags(p)
+    _add_manifest(p)
+    _add_window_flags(p)
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("eval", help="leave-one-subject-out evaluation")
-    _add_data_source(p)
-    _add_pipeline_flags(p)
+    _add_manifest(p)
+    _add_window_flags(p)
+    _add_model_flags(p)
     p.add_argument("--model", action="append", choices=models.MODEL_KINDS,
                    help="classifier (repeatable); default lda")
     p.add_argument("--out", type=Path, help="directory for report JSON files")
 
     p = sub.add_parser("sweep", help="window-size sweep to CSV")
-    _add_data_source(p)
+    _add_manifest(p)
     sizes = ",".join(f"{s:g}" for s in windows.DEFAULT_SWEEP_SIZES)
     p.add_argument("--sizes", default=sizes,
                    help="comma-separated window sizes in seconds")
-    _add_pipeline_flags(p, window=False)
+    p.add_argument("--step", type=float, default=windows.WindowSpec.step_s,
+                   help="window hop, seconds")
+    _add_model_flags(p)
     p.add_argument("--model", choices=models.MODEL_KINDS, default="lda")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("suds", help="Mann-Whitney U test on SUDs ratings")
-    _add_data_source(p)
+    _add_manifest(p)
     p.add_argument("--out", type=Path, help="JSON output path")
 
     sub.add_parser("catalog", help="print the machine-readable feature catalog")
     return parser
-
-
-def _load_data(args) -> io.Dataset:
-    if bool(args.manifest) == bool(args.synth):
-        raise ValidationError("specify exactly one of --manifest and --synth")
-    if args.manifest:
-        return io.load_dataset(args.manifest)
-    return io.synth_cohort(io.SynthCohortSpec(n_subjects=args.subjects,
-                                              seed=args.seed))
 
 
 def _cmd_synth(args) -> int:
@@ -98,7 +92,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     spec = windows.WindowSpec(args.window, args.step)
-    matrix = windows.build_matrix(_load_data(args), spec)
+    matrix = windows.build_matrix(io.load_dataset(args.manifest), spec)
     matrix.to_csv(args.out)
     print(f"{args.out}: {matrix.n_rows} rows x {len(matrix.columns)} features")
     return 0
@@ -106,7 +100,8 @@ def _cmd_features(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = windows.WindowSpec(args.window, args.step)
-    matrix = windows.build_matrix(_load_data(args), spec)
+    check_seed(args.seed)
+    matrix = windows.build_matrix(io.load_dataset(args.manifest), spec)
     for kind in args.model or ["lda"]:
         report = evaluate.loso_matrix(matrix, args.k, kind, args.seed,
                                       evaluate.window_echo(spec))
@@ -132,7 +127,8 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(f"--sizes names no window size: {args.sizes!r}")
     for s in sizes:
         windows.WindowSpec(s, args.step)
-    ds = _load_data(args)
+    check_seed(args.seed)
+    ds = io.load_dataset(args.manifest)
     rows = evaluate.sweep_windows(ds, sizes, args.step, args.k, args.model,
                                   args.seed)
     with open(args.out, "w") as f:
@@ -145,8 +141,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_suds(args) -> int:
-    ds = _load_data(args)
-    report = evaluate.suds_report(ds)
+    report = evaluate.suds_report(io.load_dataset(args.manifest))
     text = report.to_json()
     if args.out:
         args.out.write_text(text + "\n")

@@ -156,9 +156,10 @@ def window_echo(spec: WindowSpec) -> dict:
 
 
 def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
-         model_kind: str = "lda", seed: int = 0, prepared=None) -> CvReport:
+         model_kind: str = "lda", seed: int = 0) -> CvReport:
     """Build the feature matrix for the dataset and run strict LOSO."""
-    matrix = build_matrix(ds, spec, prepared)
+    check_seed(seed)
+    matrix = build_matrix(ds, spec)
     return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
 
 
@@ -178,11 +179,13 @@ def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
                   step_s: float = WindowSpec.step_s, k: int = DEFAULT_K,
                   model_kind: str = "lda", seed: int = 0) -> list[dict]:
     """One LOSO run per window size; rows for the sweep CSV."""
+    check_seed(seed)
     prepared = {t.subject_id: prepare_trace(t) for t in ds}
     rows = []
     for size in sizes:
         spec = WindowSpec(float(size), step_s)
-        rep = loso(ds, spec, k, model_kind, seed, prepared)
+        rep = loso_matrix(build_matrix(ds, spec, prepared), k, model_kind, seed,
+                          window_echo(spec))
         rows.append({"window_s": float(size),
                      "mean_accuracy": rep.mean_accuracy,
                      "pooled_accuracy": rep.pooled_accuracy})

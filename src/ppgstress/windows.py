@@ -115,10 +115,9 @@ class FeatureMatrix:
 def prepare_trace(trace: PpgTrace) -> pulse.RrSeries:
     """Filter a trace, detect peaks, screen to an RrSeries."""
     cascade = design_butter_bandpass(FILTER_ORDER, *BAND_HZ, trace.fs)
-    filtered = filtfilt(cascade, trace.samples)
-    peaks = pulse.detect_peaks(filtered, trace.fs)
     try:
-        return pulse.to_rr(peaks)
+        filtered = filtfilt(cascade, trace.samples)
+        return pulse.to_rr(pulse.detect_peaks(filtered, trace.fs))
     except DataError as e:
         raise DataError(f"subject {trace.subject_id}: {e}") from None
 

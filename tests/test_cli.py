@@ -14,6 +14,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def no_data(*args):
+    raise AssertionError("data read before the options were checked")
+
+
 class TestSynth:
     def test_writes_manifest_and_signals(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -128,12 +132,6 @@ class TestEval:
         err = capsys.readouterr().err
         assert "lda" in err and "knn" in err and "sgd" in err
 
-    def test_both_sources_rejected(self, small_manifest, capsys):
-        code, _, err = run(capsys, "eval", "--manifest", str(small_manifest),
-                           "--synth")
-        assert code == 1
-        assert "exactly one" in err
-
 
 class TestSweep:
     def test_two_sizes(self, small_manifest, tmp_path, capsys):
@@ -153,10 +151,11 @@ class TestSweep:
 
 
     @pytest.mark.parametrize("sizes", ["60,abc", ","])
-    def test_bad_size_list_refused(self, sizes, tmp_path, capsys):
+    def test_bad_size_list_refused(self, sizes, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(io, "load_dataset", no_data)
         out = tmp_path / "s.csv"
-        # --synth with no cohort built: the list is refused before any data
-        code, _, err = run(capsys, "sweep", "--synth", "--sizes", sizes,
+        code, _, err = run(capsys, "sweep", "--manifest",
+                           str(tmp_path / "manifest.json"), "--sizes", sizes,
                            "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and "--sizes" in err
@@ -170,14 +169,61 @@ class TestSweep:
     ids=["sweep-nan", "sweep-inf", "eval-nan"])
 def test_non_finite_window_refused_before_data(argv, shown, tmp_path, capsys,
                                                monkeypatch):
-    def no_cohort(spec):
-        raise AssertionError("cohort built before the window size was checked")
-
-    monkeypatch.setattr(io, "synth_cohort", no_cohort)
-    code, _, err = run(capsys, *argv, "--synth", "--subjects", "2",
+    monkeypatch.setattr(io, "load_dataset", no_data)
+    code, _, err = run(capsys, *argv, "--manifest", str(tmp_path / "manifest.json"),
                        "--out", str(tmp_path / "out"))
     assert code == 1
     assert err.startswith("error:") and shown in err
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_bad_model_seed_refused_before_data(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(io, "load_dataset", no_data)
+    monkeypatch.setattr(windows, "prepare_trace", no_data)
+    code, out, err = run(capsys, command, "--manifest",
+                         str(tmp_path / "missing" / "manifest.json"),
+                         "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: seed must be a whole number >= 0, got -1"]
+
+
+# Options a subcommand does not read (--synth and --subjects on any data
+# subcommand, --k and --seed on features, --seed on suds) and a missing
+# --manifest are argparse usage errors.
+@pytest.mark.parametrize("argv,shown", [
+    (["eval", "--manifest", "m.json", "--synth"], "unrecognized arguments: --synth"),
+    (["features", "--manifest", "m.json", "--out", "f.csv", "--subjects", "2"],
+     "unrecognized arguments: --subjects 2"),
+    (["eval", "--manifest", "m.json", "--subjects", "2"],
+     "unrecognized arguments: --subjects 2"),
+    (["sweep", "--manifest", "m.json", "--out", "s.csv", "--subjects", "2"],
+     "unrecognized arguments: --subjects 2"),
+    (["suds", "--manifest", "m.json", "--subjects", "2"],
+     "unrecognized arguments: --subjects 2"),
+    (["features", "--manifest", "m.json", "--out", "f.csv", "--k", "5"],
+     "unrecognized arguments: --k 5"),
+    (["features", "--manifest", "m.json", "--out", "f.csv", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["suds", "--manifest", "m.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["features", "--out", "f.csv"], "the following arguments are required: --manifest"),
+    (["eval"], "the following arguments are required: --manifest"),
+    (["sweep", "--out", "s.csv"], "the following arguments are required: --manifest"),
+    (["suds"], "the following arguments are required: --manifest")],
+    ids=["eval-synth", "features-subjects", "eval-subjects", "sweep-subjects",
+         "suds-subjects", "features-k", "features-seed", "suds-seed",
+         "features-no-manifest", "eval-no-manifest", "sweep-no-manifest",
+         "suds-no-manifest"])
+def test_removed_or_missing_option_usage_error(argv, shown, capsys, monkeypatch):
+    monkeypatch.setattr(io, "load_dataset", no_data)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # argparse reports an unknown option from the top-level parser, a
+    # missing one from the subcommand's.
+    prog = "ppgstress" if shown.startswith("unrecognized") else f"ppgstress {argv[0]}"
+    assert err.startswith(f"usage: {prog} ")
+    assert err.splitlines()[-1] == f"{prog}: error: {shown}"
 
 
 class TestSuds:
@@ -249,3 +295,21 @@ def test_public_surface_pinned():
     commands = {"synth", "features", "eval", "sweep", "suds", "catalog"}
     assert set(sub.choices) == commands
     assert set(cli._COMMANDS) == commands
+
+
+def test_settable_options_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.option_strings[0] for a in p._actions
+                      if not isinstance(a, argparse._HelpAction)}
+               for name, p in sub.choices.items()}
+    assert options == {
+        "synth": {"--subjects", "--seed", "--fs", "--span", "--noise", "--out"},
+        "features": {"--manifest", "--window", "--step", "--out"},
+        "eval": {"--manifest", "--window", "--step", "--seed", "--k", "--model",
+                 "--out"},
+        "sweep": {"--manifest", "--seed", "--sizes", "--step", "--k", "--model",
+                  "--out"},
+        "suds": {"--manifest", "--out"},
+        "catalog": set()}
+    assert sum(len(o) for o in options.values()) == 26

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ppgstress import evaluate, io
+from ppgstress import evaluate, io, windows
 from ppgstress.errors import DataError, ValidationError
 
 
@@ -130,6 +130,18 @@ class TestSweep:
         a = evaluate.sweep_windows(ds, sizes=(60.0, 80.0), k=5)
         b = evaluate.sweep_windows(ds, sizes=(60.0, 80.0), k=5)
         assert a == b
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
+@pytest.mark.parametrize("entry", [evaluate.loso, evaluate.sweep_windows])
+def test_bad_seed_refused_before_data_work(cohort16, monkeypatch, entry, seed):
+    def no_work(trace):
+        raise AssertionError("trace prepared before the seed was checked")
+
+    monkeypatch.setattr(windows, "prepare_trace", no_work)
+    monkeypatch.setattr(evaluate, "prepare_trace", no_work)
+    with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
+        entry(cohort16, seed=seed)
 
 
 def oracle_exact_u(a, b):

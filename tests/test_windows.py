@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,14 @@ class TestBuildMatrix:
         ds = io.Dataset((make_trace(840),))
         with pytest.raises(DataError, match="s1"):
             windows.build_matrix(ds, windows.WindowSpec(80.0, 5.0))
+
+    @pytest.mark.parametrize("n, shown", [
+        (300, "need at least 5 s of signal, got 3.0 s"),
+        (20, "input too short for zero-phase filtering")], ids=["3s", "20-samples"])
+    def test_short_trace_error_names_subject(self, n, shown):
+        trace = io.PpgTrace("s7", 100.0, np.zeros(n))
+        with pytest.raises(DataError, match=f"^subject s7: {re.escape(shown)}"):
+            windows.prepare_trace(trace)
 
     def test_deterministic(self):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=2, seed=11))
