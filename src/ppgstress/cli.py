@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import evaluate, hrv, io, models, windows
-from .errors import DataError, ValidationError, check_seed
+from .errors import DataError, ValidationError, check_k, check_seed
 
 
 def _add_manifest(p: argparse.ArgumentParser):
@@ -101,6 +101,7 @@ def _cmd_features(args) -> int:
 def _cmd_eval(args) -> int:
     spec = windows.WindowSpec(args.window, args.step)
     check_seed(args.seed)
+    check_k(args.k)
     matrix = windows.build_matrix(io.load_dataset(args.manifest), spec)
     for kind in args.model or ["lda"]:
         report = evaluate.loso_matrix(matrix, args.k, kind, args.seed,
@@ -128,6 +129,7 @@ def _cmd_sweep(args) -> int:
     for s in sizes:
         windows.WindowSpec(s, args.step)
     check_seed(args.seed)
+    check_k(args.k)
     ds = io.load_dataset(args.manifest)
     rows = evaluate.sweep_windows(ds, sizes, args.step, args.k, args.model,
                                   args.seed)

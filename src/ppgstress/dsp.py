@@ -9,7 +9,7 @@ through their outputs; the signal is cut into BLOCK-sample blocks, one
 matrix product gives every block's zero-state response and its input to the
 state, and a doubling scan carries the state across blocks. Its operators
 are built once per cascade, and designs are cached. Welch uses the periodic
-Hann window.
+Hann window and returns a plain `(freqs, power)` pair.
 """
 
 from __future__ import annotations
@@ -234,16 +234,6 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     return y[pad:len(y) - pad]
 
 
-@dataclass(frozen=True)
-class Psd:
-    freqs: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        if self.freqs[0] != 0 or np.any(np.diff(self.freqs) <= 0):
-            raise ValidationError("PSD grid must start at 0 and strictly increase")
-
-
 def welch_hop(segment_len):
     """Samples between Welch segment starts: half overlap, as scipy's default."""
     return segment_len - segment_len // 2
@@ -255,8 +245,9 @@ def hann(n: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-def welch_psd(x, fs: float, segment_len: int) -> Psd:
-    """Hann-windowed, per-segment mean-removed averaged periodogram.
+def welch_psd(x, fs: float, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed, per-segment mean-removed averaged periodogram, as
+    `(freqs, power)`: the `np.fft.rfftfreq` grid of the segment and its power.
 
     `x` is one sequence or a (rows, n) stack of them, which gives one power
     row per sequence. As in scipy.signal.welch, segments start every
@@ -280,4 +271,4 @@ def welch_psd(x, fs: float, segment_len: int) -> Psd:
     power = power.mean(axis=-2) / (fs * (win * win).sum())
     # One-sided: every bin but 0 Hz and an even length's fs/2 holds its mirror.
     power[..., 1:(segment_len + 1) // 2] *= 2
-    return Psd(np.fft.rfftfreq(segment_len, 1 / fs), power)
+    return np.fft.rfftfreq(segment_len, 1 / fs), power

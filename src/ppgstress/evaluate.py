@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import models, moments
-from .errors import DataError, ValidationError, check_seed
+from .errors import DataError, ValidationError, check_k, check_seed
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
                       prepare_trace, select)
@@ -51,15 +51,10 @@ class CvReport:
     folds: tuple[FoldResult, ...]
     mean_accuracy: float      # mean over subjects (headline figure)
     pooled_accuracy: float    # over all windows pooled
-    settings: dict            # echoed under "config"
+    config: dict              # window, k, model and seed of the run
 
     def to_json(self) -> str:
-        return json.dumps({
-            "folds": [asdict(f) for f in self.folds],
-            "mean_accuracy": self.mean_accuracy,
-            "pooled_accuracy": self.pooled_accuracy,
-            "config": self.settings,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,8 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     other subject's (`fold_stats`). The fold's ANOVA-F ranking, scaler and,
     for LDA, class means and pooled covariance follow from them. KNN gets
     its z-scored training rows in one gather; SGD fits all folds at once
-    (`models.sgd_logistic_fit` with `folds`). Every fold is predicted
-    through its model's `predict_proba`.
+    (`models.sgd_logistic_fit`). Every fold is predicted through its
+    model's `predict_proba`.
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
@@ -130,7 +125,7 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     X, y = matrix.X, matrix.labels
     if model_kind == "sgd":
         specs = [(fold.train, fold.cols, fold.mean, fold.std) for fold in folds]
-        fitted = models.sgd_logistic_fit(X, y, seed=seed, folds=specs).models
+        fitted = models.sgd_logistic_fit(X, y, specs, seed).models
     elif model_kind == "lda":
         fitted = (fold.lda() for fold in folds)
     else:
@@ -144,7 +139,7 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
         acc, conf = metrics(y[fold.test], y_pred)
         results.append(FoldResult(sid, acc, conf, len(fold.test)))
         pooled_correct += conf["tp"] + conf["tn"]
-    cfg = dict(config_echo or {}, k=k, model=model_kind, seed=seed)
+    cfg = dict(config_echo or {}, k=int(k), model=model_kind, seed=int(seed))
     return CvReport(tuple(results),
                     float(np.mean([f.accuracy for f in results])),
                     pooled_correct / matrix.n_rows, cfg)
@@ -159,6 +154,7 @@ def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
          model_kind: str = "lda", seed: int = 0) -> CvReport:
     """Build the feature matrix for the dataset and run strict LOSO."""
     check_seed(seed)
+    check_k(k)
     matrix = build_matrix(ds, spec)
     return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
 
@@ -180,6 +176,7 @@ def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
                   model_kind: str = "lda", seed: int = 0) -> list[dict]:
     """One LOSO run per window size; rows for the sweep CSV."""
     check_seed(seed)
+    check_k(k)
     prepared = {t.subject_id: prepare_trace(t) for t in ds}
     rows = []
     for size in sizes:
@@ -272,9 +269,7 @@ class SudsReport:
     stressful: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps({"utest": asdict(self.utest),
-                           "relaxing": self.relaxing,
-                           "stressful": self.stressful}, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _summary(values: np.ndarray) -> dict[str, float]:

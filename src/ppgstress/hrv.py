@@ -271,11 +271,11 @@ def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
     bands = np.empty((lo.size, 3))
     for s, u in set(zip(seg.tolist(), used.tolist())):
         rows = np.flatnonzero((seg == s) & (used == u))
-        psd = welch_psd(tach[rows, :u], RESAMPLE_HZ, s)
+        freqs, power = welch_psd(tach[rows, :u], RESAMPLE_HZ, s)
         for j, (f_lo, f_hi) in enumerate((VLF_BAND, LF_BAND, HF_BAND)):
             # A band with fewer than 2 bins integrates to 0.
-            band = (psd.freqs >= f_lo) & (psd.freqs <= f_hi)
-            bands[rows, j] = np.trapezoid(psd.power[:, band], psd.freqs[band], axis=-1)
+            band = (freqs >= f_lo) & (freqs <= f_hi)
+            bands[rows, j] = np.trapezoid(power[:, band], freqs[band], axis=-1)
     vlf, lf, hf = bands.T
     hf_zero, no_power = hf <= 1e-12, lf + hf <= 0
     return {

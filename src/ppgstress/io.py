@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, check_seed
+from .errors import DataError, ValidationError, check_seed, is_whole
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
@@ -138,7 +138,7 @@ class SynthCohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_subjects, numbers.Integral) and self.n_subjects >= 1):
+        if not (is_whole(self.n_subjects) and self.n_subjects >= 1):
             raise ValidationError(f"n_subjects must be a whole number >= 1, "
                                   f"got {self.n_subjects!r}")
         for name in ("fs", "span_s", "relaxed_hr", "stressed_hr"):
@@ -373,7 +373,10 @@ def load_dataset(manifest_path) -> Dataset:
         if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
             raise ValidationError(f"manifest subject {i} is not an object with keys "
                                   f"{', '.join(keys)}: {entry!r}")
-        sid = str(entry["id"])
+        sid = entry["id"]
+        if not isinstance(sid, str):
+            raise ValidationError(f"manifest subject {i}: id must be a string, "
+                                  f"got {sid!r}")
         traces.append(PpgTrace(
             sid, entry["fs"], _samples(base, entry["signal"], sid),
             tuple(_rows(base, entry["annotations"], ["start_s", "end_s", "condition"],

@@ -2,6 +2,9 @@
 
 Each fitted model exposes a stress-membership probability; the rounded
 probability doubles as a 0.0-1.0 stress level for adaptive consumers.
+SGD has one fit, `sgd_logistic_fit(X, y, folds, seed)`, which steps every
+fold of a LOSO run together and returns their models as an `SgdFolds`; a
+single fit is its one-fold case.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, moments
-from .errors import DataError, ValidationError, check_seed
+from .errors import DataError, ValidationError, check_seed, is_whole
 
 MODEL_KINDS = ("lda", "knn", "sgd")
 LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
 SGD_LR0 = 0.01  # learning rate lr_t = SGD_LR0 / (1 + t * SGD_DECAY)
 SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
+SGD_EPOCHS = 50  # passes over each fold's rows
 SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
 KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
 _KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
@@ -176,7 +180,7 @@ def knn_fit(X, y, k: int = 5) -> KnnModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     _check_two_classes(y)
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > len(y):
+    if not is_whole(k) or k < 1 or k > len(y):
         raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
     return KnnModel(X, y, k)
 
@@ -185,7 +189,7 @@ def knn_fit(X, y, k: int = 5) -> KnnModel:
 class SgdModel:
     weights: np.ndarray
     bias: float
-    loss_per_epoch: tuple[float, ...] = ()
+    loss_per_epoch: tuple[float, ...]
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return np.atleast_2d(X) @ self.weights + self.bias
@@ -205,27 +209,16 @@ class SgdFolds:
         return tuple(zip(*(m.loss_per_epoch for m in self.models)))
 
 
-def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0, folds=None):
-    """L2-penalised logistic loss, per-sample gradient steps, decaying rate.
+def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
+    """L2-penalised logistic loss, per-sample gradient steps, decaying rate,
+    SGD_EPOCHS epochs; seeded shuffling each epoch makes the fit
+    bit-reproducible.
 
-    Seeded shuffling each epoch makes the fit bit-reproducible. Without
-    `folds`, one `SgdModel` is fitted on X. With `folds`, a sequence of
-    `(rows, cols, mean, std)`, fold f is fitted on
-    `(X[rows][:, cols] - mean) / std` with labels `y[rows]`, all folds
-    stepped together, and their models come back as an `SgdFolds`.
-    """
-    check_seed(seed)
-    X = np.asarray(X, dtype=float)
-    if folds is not None:
-        return SgdFolds(_sgd_fit_folds(X, y, folds, epochs, seed))
-    n, d = X.shape
-    one = [(np.arange(n), np.arange(d), np.zeros(d), np.ones(d))]
-    return _sgd_fit_folds(X, y, one, epochs, seed)[0]
-
-
-def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
-    """Each fold as if fitted alone: its own `default_rng(seed)` permutations,
-    step counter, learning rate, losses and divergence check.
+    `folds` is a sequence of `(rows, cols, mean, std)`: fold f is fitted on
+    `(X[rows][:, cols] - mean) / std` with labels `y[rows]`, as if alone:
+    its own `default_rng(seed)` permutations, step counter, learning rate,
+    losses and divergence check. A single fit on X is the one fold
+    `(all rows, all columns, zeros, ones)`.
 
     Row f of V is fold f's weights, then its bias on a column of ones. Within
     a block of SGD_BLOCK steps the weights are s_t * V, s_t the product of the
@@ -239,6 +232,8 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
     Epoch e's loss takes a decision matrix from epoch e+1's z-scored blocks
     and epoch e's weights, so only a fold's own rows and columns reach it.
     """
+    check_seed(seed)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     rows = [np.asarray(r) for r, *_ in folds]
     for r in rows:
@@ -257,20 +252,20 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
     # Reused, as fresh block-sized arrays (np.take's default mode makes one) page-fault.
     idx, z = np.empty((SGD_BLOCK, F, d + 1), dtype=np.intp), np.empty((N, F))
     a, u = np.empty((2, SGD_BLOCK, F, d + 1))
-    loss = np.empty((F, epochs))
+    loss = np.empty((F, SGD_EPOCHS))
 
     def zscored(rb):  # each fold's rows rb[:, f], z-scored, into a
         np.take(Xz, np.add(rb[..., None] * (D + 2), C, out=idx), out=a, mode="clip")
         return np.divide(np.subtract(a, M, out=a), S, out=a)
 
-    for epoch in range(epochs + 1):  # pass e steps epoch e and takes epoch e-1's loss
+    for epoch in range(SGD_EPOCHS + 1):  # pass e steps epoch e, takes epoch e-1's loss
         for f, r in enumerate(rows):
             R[:n[f], f] = r[rngs[f].permutation(n[f])]  # fold f's row at each step
         lr = np.where(i < n, SGD_LR0 / (1.0 + (epoch * n + i) * SGD_DECAY), 0.0)
         V0 = V.copy()  # the weights after epoch e-1
         for rb, lb, zb in zip(*(A.reshape(-1, SGD_BLOCK, F) for A in (R, lr, z))):
             np.vecdot(zscored(rb), V0, out=zb)
-            if epoch == epochs:
+            if epoch == SGD_EPOCHS:
                 continue
             s = np.cumprod(1.0 - lb * SGD_L2, axis=0)  # weight scale after each step
             np.multiply(a, (0.5 * lb / s)[..., None], out=u)
@@ -290,8 +285,9 @@ def _sgd_fit_folds(X, y, folds, epochs: int, seed: int) -> list[SgdModel]:
     bad = np.argwhere(~np.isfinite(loss))
     if len(bad):  # the error the first diverging fold would raise when fitted alone
         raise DataError(f"SGD diverged (non-finite loss) at epoch {bad[0, 1]}")
-    return [SgdModel(V[f, :len(c)].copy(), float(V[f, -1]), tuple(loss[f].tolist()))
-            for f, (_, c, _, _) in enumerate(folds)]
+    return SgdFolds(tuple(
+        SgdModel(V[f, :len(c)].copy(), float(V[f, -1]), tuple(loss[f].tolist()))
+        for f, (_, c, _, _) in enumerate(folds)))
 
 
 def stress_level(p_stress: float) -> float:

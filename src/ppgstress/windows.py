@@ -11,7 +11,7 @@ import numpy as np
 
 from . import hrv, moments, pulse
 from .dsp import design_butter_bandpass, filtfilt
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, check_k
 from .io import Dataset, PpgTrace
 
 log = logging.getLogger(__name__)
@@ -194,8 +194,7 @@ def rank(f: np.ndarray) -> np.ndarray:
 
 def top_k(ranked, k: int):
     """The first k of a ranking (k clipped to its length)."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    check_k(k)
     return ranked[:k]
 
 

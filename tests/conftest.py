@@ -11,6 +11,13 @@ def rr_series(rr_ms, t0=0.0):
     return pulse.RrSeries(np.r_[t0, times], rr, times)
 
 
+def one_fold(X):
+    """The fold of every row and column of X, unscaled: with it,
+    `models.sgd_logistic_fit` is a single fit on X."""
+    n, d = np.shape(X)
+    return [(np.arange(n), np.arange(d), np.zeros(d), np.ones(d))]
+
+
 def modulated_rr(mod_hz, amp_ms=50.0, mean_ms=1000.0, span_s=300.0):
     rr = []
     t = 0.0

@@ -54,11 +54,11 @@ def time_domain(rr_ms) -> dict[str, float]:
     }
 
 
-def _band_power(psd, lo: float, hi: float) -> float:
-    mask = (psd.freqs >= lo) & (psd.freqs <= hi)
+def _band_power(freqs, power, lo: float, hi: float) -> float:
+    mask = (freqs >= lo) & (freqs <= hi)
     if np.count_nonzero(mask) < 2:
         return 0.0
-    return float(np.trapezoid(psd.power[mask], psd.freqs[mask]))
+    return float(np.trapezoid(power[mask], freqs[mask]))
 
 
 def frequency_domain(rr: pulse.RrSeries, window_span_s: float) -> hrv.WindowFeatures:
@@ -75,9 +75,9 @@ def frequency_domain(rr: pulse.RrSeries, window_span_s: float) -> hrv.WindowFeat
     seg = min(hrv.WELCH_SEGMENT, len(tach))
     psd = welch_psd(tach, hrv.RESAMPLE_HZ, seg)
 
-    vlf = _band_power(psd, *hrv.VLF_BAND)
-    lf = _band_power(psd, *hrv.LF_BAND)
-    hf = _band_power(psd, *hrv.HF_BAND)
+    vlf = _band_power(*psd, *hrv.VLF_BAND)
+    lf = _band_power(*psd, *hrv.LF_BAND)
+    hf = _band_power(*psd, *hrv.HF_BAND)
     flags: list[str] = []
     if hf <= 1e-12:
         flags.append("hf_zero")

@@ -14,10 +14,11 @@ import numpy as np
 from scipy.special import expit
 
 from ppgstress.errors import DataError
-from ppgstress.models import SGD_DECAY, SGD_L2, SGD_LR0, SgdModel, _check_two_classes
+from ppgstress.models import (SGD_DECAY, SGD_EPOCHS, SGD_L2, SGD_LR0, SgdModel,
+                              _check_two_classes)
 
 
-def sgd_logistic_fit(X, y, epochs: int = 50, seed: int = 0) -> SgdModel:
+def sgd_logistic_fit(X, y, epochs: int = SGD_EPOCHS, seed: int = 0) -> SgdModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     _check_two_classes(y)

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import modulated_rr
+from conftest import modulated_rr, one_fold
 from ppgstress import dsp, evaluate, hrv, io, models, pulse, windows
 
 FS = 100.0
@@ -137,8 +137,8 @@ def test_5_classifier_sanity():
             == pytest.approx(0.5, abs=1e-9)
 
         X2 = np.c_[X, rng.normal(size=(400, 1))]
-        s1 = models.sgd_logistic_fit(X2, y, seed=4)
-        s2 = models.sgd_logistic_fit(X2, y, seed=4)
+        s1 = models.sgd_logistic_fit(X2, y, one_fold(X2), seed=4).models[0]
+        s2 = models.sgd_logistic_fit(X2, y, one_fold(X2), seed=4).models[0]
         assert np.array_equal(s1.weights, s2.weights) and s1.bias == s2.bias
         losses = np.array(s1.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)

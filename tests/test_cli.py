@@ -187,6 +187,17 @@ def test_bad_model_seed_refused_before_data(command, tmp_path, capsys, monkeypat
     assert err.splitlines() == ["error: seed must be a whole number >= 0, got -1"]
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_bad_k_refused_before_data(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(io, "load_dataset", no_data)
+    monkeypatch.setattr(windows, "prepare_trace", no_data)
+    code, out, err = run(capsys, command, "--manifest",
+                         str(tmp_path / "missing" / "manifest.json"),
+                         "--k", "0", "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: k must be >= 1, got 0"]
+
+
 # Options a subcommand does not read (--synth and --subjects on any data
 # subcommand, --k and --seed on features, --seed on suds) and a missing
 # --manifest are argparse usage errors.

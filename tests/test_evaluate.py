@@ -144,6 +144,18 @@ def test_bad_seed_refused_before_data_work(cohort16, monkeypatch, entry, seed):
         entry(cohort16, seed=seed)
 
 
+@pytest.mark.parametrize("k", [0, 2.5, True])
+@pytest.mark.parametrize("entry", [evaluate.loso, evaluate.sweep_windows])
+def test_bad_k_refused_before_data_work(cohort16, monkeypatch, entry, k):
+    def no_work(trace):
+        raise AssertionError("trace prepared before k was checked")
+
+    monkeypatch.setattr(windows, "prepare_trace", no_work)
+    monkeypatch.setattr(evaluate, "prepare_trace", no_work)
+    with pytest.raises(ValidationError, match="^k must be "):
+        entry(cohort16, k=k)
+
+
 def oracle_exact_u(a, b):
     """Rank-free brute force: U counts pairs (x in A, y in B) with x > y
     (+0.5 for ties); the p-value enumerates every assignment of the pooled

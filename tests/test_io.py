@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -149,7 +150,7 @@ class TestSynthCohort:
         with pytest.raises(ValidationError, match="noise_sigma must be >= 0 and finite"):
             io.SynthCohortSpec(noise_sigma=value)
 
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1, True])
     def test_n_subjects_whole_number(self, value):
         with pytest.raises(ValidationError, match="n_subjects must be a whole number >= 1"):
             io.SynthCohortSpec(n_subjects=value)
@@ -335,6 +336,15 @@ class TestManifest:
         manifest, _ = saved1
         self._edit(manifest, id=sid)
         with pytest.raises(ValidationError, match=f"^subject id {sid!r} must be"):
+            io.load_dataset(manifest)
+
+    # str() turned null into subject "None" and ["S01"] into "['S01']".
+    @pytest.mark.parametrize("sid", [None, ["S01"], 7, True])
+    def test_non_string_id_refused(self, saved1, sid):
+        manifest, _ = saved1
+        self._edit(manifest, id=sid)
+        with pytest.raises(ValidationError, match=rf"^manifest subject 1: id must be a "
+                           rf"string, got {re.escape(repr(sid))}$"):
             io.load_dataset(manifest)
 
     @pytest.mark.parametrize("text", [b'{"subjects": [\xff]}', b'{"subjects": ['])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalar_knn
+from conftest import one_fold
 from ppgstress import dsp, models
 from ppgstress.errors import DataError, ValidationError
 
@@ -147,7 +148,7 @@ class TestKnn:
         with pytest.raises(ValidationError):
             models.knn_fit(X, y, k=0)
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3", None, True])
     def test_non_integer_k_refused(self, k):
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError, match="integer"):
@@ -180,29 +181,30 @@ class TestKnn:
 class TestSgd:
     def test_separable_accuracy(self):
         X, y = gaussian_clouds(seed=7, d=2)
-        m = models.sgd_logistic_fit(X, y, seed=1)
+        m = models.sgd_logistic_fit(X, y, one_fold(X), seed=1).models[0]
         assert np.mean((m.predict_proba(X) >= 0.5) == y) >= 0.98
 
-    def test_zero_epochs_gives_prior(self):
+    def test_zero_epochs_gives_prior(self, monkeypatch):
         X, y = gaussian_clouds(seed=8)
-        m = models.sgd_logistic_fit(X, y, epochs=0, seed=1)
+        monkeypatch.setattr(models, "SGD_EPOCHS", 0)
+        m = models.sgd_logistic_fit(X, y, one_fold(X), seed=1).models[0]
         np.testing.assert_allclose(m.predict_proba(X), 0.5)
 
     def test_deterministic_per_seed(self):
         X, y = gaussian_clouds(seed=9, d=3)
-        a = models.sgd_logistic_fit(X, y, seed=5)
-        b = models.sgd_logistic_fit(X, y, seed=5)
+        a = models.sgd_logistic_fit(X, y, one_fold(X), seed=5).models[0]
+        b = models.sgd_logistic_fit(X, y, one_fold(X), seed=5).models[0]
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
     def test_bad_seed_refused(self, seed):
         X, y = gaussian_clouds(seed=11)
         with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
-            models.sgd_logistic_fit(X, y, seed=seed)
+            models.sgd_logistic_fit(X, y, one_fold(X), seed=seed)
 
     def test_loss_nonincreasing_within_tolerance(self):
         X, y = gaussian_clouds(seed=10, d=2)
-        m = models.sgd_logistic_fit(X, y, seed=2)
+        m = models.sgd_logistic_fit(X, y, one_fold(X), seed=2).models[0]
         losses = np.array(m.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
 
@@ -230,8 +232,10 @@ def test_sigmoid_saturates_without_warnings():
         assert np.isnan(models._sigmoid(np.nan))
 
 
-@pytest.mark.parametrize("fit", [models.lda_fit, models.knn_fit,
-                                 models.sgd_logistic_fit])
+@pytest.mark.parametrize("fit", [
+    models.lda_fit, models.knn_fit,
+    pytest.param(lambda X, y: models.sgd_logistic_fit(X, y, one_fold(X)),
+                 id="sgd_logistic_fit")])
 def test_non_binary_labels_refused(fit):
     X = np.arange(8.0).reshape(4, 2)
     with pytest.raises(DataError, match="both classes"):

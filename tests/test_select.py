@@ -2,7 +2,9 @@
 point: the LOSO folds (`evaluate.fold_stats`, `evaluate.loso_matrix`) and the
 whole-matrix helpers that apply the same rule."""
 
+import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -29,14 +31,34 @@ def whole(m, k):
 FOLDS = {"fold_stats": evaluate.fold_stats, "loso_matrix": evaluate.loso_matrix}
 
 
-@pytest.mark.parametrize("run", [
+# Every entry point that takes k.
+TAKES_K = pytest.mark.parametrize("run", [
     *FOLDS.values(), whole,
     lambda m, k: windows.select_top_k(m, windows.anova_f(m), k)],
     ids=[*FOLDS, "select", "select_top_k"])
+
+
+@TAKES_K
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_one_refused(run, k):
     with pytest.raises(ValidationError, match=f"^k must be >= 1, got {k}$"):
         run(small(), k)
+
+
+# A float or a string raised a bare TypeError, and True was taken as k = 1.
+@TAKES_K
+@pytest.mark.parametrize("k", [2.5, np.float64(3.0), "5", True, None])
+def test_k_not_a_whole_number_refused(run, k):
+    with pytest.raises(ValidationError, match=f"^k must be a whole number, got "
+                       f"{re.escape(repr(k))}$"):
+        run(small(), k)
+
+
+# A numpy integer k or seed was echoed as is, which json.dumps refuses.
+@pytest.mark.parametrize("n", [2, np.int64(2)])
+def test_whole_number_k_and_seed_echoed_as_int(n):
+    report = evaluate.loso_matrix(small(), n, seed=n)
+    assert json.loads(report.to_json())["config"] == {"k": 2, "model": "lda", "seed": 2}
 
 
 # A holds three stressed rows, B one and C none: the fold that holds A out

@@ -1,5 +1,5 @@
-"""Fold-batched SGD (`models.sgd_logistic_fit` with `folds`) against the
-per-sample reference.
+"""Fold-batched SGD (`models.sgd_logistic_fit`) against the per-sample
+reference.
 
 The batched kernel keeps each fold's weights as a scale times a vector
 (the L2 shrink is folded in once per block of steps) and takes each step's
@@ -14,6 +14,7 @@ import pytest
 
 import scalar_folds
 import scalar_sgd
+from conftest import one_fold
 from ppgstress import evaluate, models, windows
 from ppgstress.errors import DataError
 
@@ -30,9 +31,9 @@ def sgd_loso(monkeypatch, matrix, k):
     seen = {}
     real = models.sgd_logistic_fit
 
-    def spy(*args, folds=None, **kwargs):
+    def spy(X, y, folds, seed=0):
         seen["folds"] = folds
-        seen["batch"] = real(*args, folds=folds, **kwargs)
+        seen["batch"] = real(X, y, folds, seed)
         return seen["batch"]
 
     monkeypatch.setattr(models, "sgd_logistic_fit", spy)
@@ -98,7 +99,8 @@ def test_fold_dropping_zero_variance_column(matrix16, monkeypatch):
 def test_zero_epochs(matrix16, monkeypatch):
     small = first_subjects(matrix16, 2)
     folds, _, _ = sgd_loso(monkeypatch, small, k=5)
-    fitted = models.sgd_logistic_fit(small.X, small.labels, epochs=0, folds=folds).models
+    monkeypatch.setattr(models, "SGD_EPOCHS", 0)
+    fitted = models.sgd_logistic_fit(small.X, small.labels, folds).models
     for model in fitted:
         assert not model.weights.any() and model.bias == 0.0
     assert_matches_reference(small, 5, fitted, epochs=0)
@@ -119,14 +121,14 @@ def test_non_finite_values_outside_a_fold_do_not_reach_it(matrix16):
     folds = [(rows, cols, X[np.ix_(rows, cols)].mean(axis=0),
               X[np.ix_(rows, cols)].std(axis=0, ddof=1))
              for rows, cols in ((rows_a, cols_a), (rows_b, cols_b))]
-    fitted = models.sgd_logistic_fit(X, y, folds=folds).models
+    fitted = models.sgd_logistic_fit(X, y, folds).models
     for (rows, cols, mean, std), model in zip(folds, fitted):
         Z = (X[np.ix_(rows, cols)] - mean) / std
         assert np.isfinite(model.weights).all()
         assert_close_to_reference(model, Z, y[rows], Z)
 
 
-def test_near_constant_column_keeps_loss_precision():
+def test_near_constant_column_keeps_loss_precision(monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(150, 3))
     y = (X[:, 1] + rng.normal(0, 0.5, 150) > 0).astype(int)
@@ -135,7 +137,8 @@ def test_near_constant_column_keeps_loss_precision():
     X[:, 0] = 1000.0 + 1e-9 * X[:, 0]
     mean, std = X.mean(axis=0), X.std(axis=0, ddof=1)
     fold = (np.arange(150), np.arange(3), mean, std)
-    model = models.sgd_logistic_fit(X, y, epochs=5, folds=[fold]).models[0]
+    monkeypatch.setattr(models, "SGD_EPOCHS", 5)
+    model = models.sgd_logistic_fit(X, y, [fold]).models[0]
     Z = (X - mean) / std
     assert_close_to_reference(model, Z, y, Z, epochs=5)
 
@@ -150,14 +153,14 @@ def test_fold_in_batch_equals_fold_alone(matrix16, monkeypatch):
     sets = {frozenset(cols) for _, cols, *_ in folds}
     assert 1 < len(sets) < len({tuple(cols) for _, cols, *_ in folds})
     for spec, model in zip(folds, fitted):
-        alone = models.sgd_logistic_fit(trimmed.X, trimmed.labels, folds=[spec]).models[0]
+        alone = models.sgd_logistic_fit(trimmed.X, trimmed.labels, [spec]).models[0]
         assert np.array_equal(model.weights, alone.weights) and model.bias == alone.bias
         np.testing.assert_allclose(model.loss_per_epoch, alone.loss_per_epoch,
                                    rtol=0, atol=TOL)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_raises_reference_error():
+def test_divergence_raises_reference_error(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     X[20:] *= 1e200
@@ -167,19 +170,21 @@ def test_divergence_raises_reference_error():
     scaling = (np.zeros(3), np.ones(3))
     folds = [(np.arange(20), np.arange(3), *scaling),
              (np.arange(20, 40), np.arange(3), *scaling)]
+    monkeypatch.setattr(models, "SGD_EPOCHS", 5)
     with pytest.raises(DataError) as got:
-        models.sgd_logistic_fit(X, y, epochs=5, folds=folds)
+        models.sgd_logistic_fit(X, y, folds)
     assert str(got.value) == str(ref.value)
     with pytest.raises(DataError) as one:
-        models.sgd_logistic_fit(X[20:], y[20:], epochs=5)
+        models.sgd_logistic_fit(X[20:], y[20:], one_fold(X[20:]))
     assert str(one.value) == str(ref.value)
 
 
-def test_one_fold_is_the_reference():
+def test_one_fold_is_the_reference(monkeypatch):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(120, 4))
     y = (X[:, 0] + rng.normal(0, 0.5, 120) > 0).astype(int)
-    got = models.sgd_logistic_fit(X, y, epochs=5, seed=3)
+    monkeypatch.setattr(models, "SGD_EPOCHS", 5)
+    got = models.sgd_logistic_fit(X, y, one_fold(X), seed=3).models[0]
     ref = scalar_sgd.sgd_logistic_fit(X, y, epochs=5, seed=3)
     assert np.max(np.abs(got.weights - ref.weights)) <= TOL
     assert abs(got.bias - ref.bias) <= TOL
