@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import models, moments
+from . import hrv, models, moments
 from .errors import DataError, ValidationError, check_k, check_seed
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
@@ -117,9 +117,7 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
-    if model_kind not in models.MODEL_KINDS:
-        raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
-                              f"{models.MODEL_KINDS}")
+    _check_model_kind(model_kind)
     check_seed(seed)  # echoed into the report, whatever the model
     folds = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
@@ -145,6 +143,12 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
                     pooled_correct / matrix.n_rows, cfg)
 
 
+def _check_model_kind(model_kind: str) -> None:
+    if model_kind not in models.MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
+                              f"{models.MODEL_KINDS}")
+
+
 def window_echo(spec: WindowSpec) -> dict:
     """The window settings a LOSO report's config echoes."""
     return {"window_s": spec.size_s, "step_s": spec.step_s}
@@ -155,6 +159,7 @@ def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
     """Build the feature matrix for the dataset and run strict LOSO."""
     check_seed(seed)
     check_k(k)
+    _check_model_kind(model_kind)
     matrix = build_matrix(ds, spec)
     return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
 
@@ -174,16 +179,22 @@ def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
 def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
                   step_s: float = WindowSpec.step_s, k: int = DEFAULT_K,
                   model_kind: str = "lda", seed: int = 0) -> list[dict]:
-    """One LOSO run per window size; rows for the sweep CSV."""
+    """One LOSO run per window size; rows for the sweep CSV.
+
+    Each trace is prepared once, and its Welch segments are shared across
+    the sizes (`hrv.SegmentPowers`); the matrices are built one size at a
+    time.
+    """
     check_seed(seed)
     check_k(k)
-    prepared = {t.subject_id: prepare_trace(t) for t in ds}
+    specs = [WindowSpec(float(size), step_s) for size in sizes]
+    _check_model_kind(model_kind)
+    prepared = {t.subject_id: (prepare_trace(t), hrv.SegmentPowers()) for t in ds}
     rows = []
-    for size in sizes:
-        spec = WindowSpec(float(size), step_s)
+    for spec in specs:
         rep = loso_matrix(build_matrix(ds, spec, prepared), k, model_kind, seed,
                           window_echo(spec))
-        rows.append({"window_s": float(size),
+        rows.append({"window_s": spec.size_s,
                      "mean_accuracy": rep.mean_accuracy,
                      "pooled_accuracy": rep.pooled_accuracy})
     return rows

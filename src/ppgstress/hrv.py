@@ -82,7 +82,38 @@ class WindowFeatures:
         return not self.flags
 
 
-def window_features(rr: RrSeries, lo, hi, n_rejected) -> tuple[np.ndarray, np.ndarray]:
+class SegmentPowers:
+    """VLF, LF and HF power of the Welch segments of one RR series' window
+    tachograms, by segment key, kept across `window_features` calls.
+
+    A segment's key is its first beat and its end sample: windows that start
+    on the same beat share their tachogram's samples. A sweep that passes one
+    table per series to every window size computes each segment once.
+    """
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.intp)
+        self.bands = np.empty((0, 3))
+
+    def get(self, keys: np.ndarray, compute) -> np.ndarray:
+        """The rows of `keys`; the keys not yet held are added first, with
+        `compute(new)` giving the rows of the sorted array `new`."""
+        at = np.searchsorted(self.keys, keys)
+        # Keys are >= 0: a key past the last held one meets the -1.
+        held = np.append(self.keys, -1)[at] == keys
+        if not held.all():
+            # Not np.unique, whose first call imports numpy.ma (~1 MB).
+            new = np.fromiter(sorted(set(keys[~held].tolist())), np.intp)
+            order = np.argsort(all_keys := np.concatenate([self.keys, new]))
+            self.keys = all_keys[order]
+            self.bands = np.concatenate([self.bands, compute(new)])[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.bands[at]
+
+
+def window_features(rr: RrSeries, lo, hi, n_rejected,
+                    powers: SegmentPowers | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Catalog rows of the windows `rr.rr_ms[lo[i]:hi[i]]` of one RR series.
 
     Returns `(X, reasons)`: X has a row per window in FEATURE_NAMES order
@@ -90,8 +121,10 @@ def window_features(rr: RrSeries, lo, hi, n_rejected) -> tuple[np.ndarray, np.nd
     applies to window i. A window is refused with fewer than 20 intervals;
     its `n_rejected[i]` screened-out intervals count towards the rejected
     fraction. Spans under 60 s are refused before this, by `WindowSpec` and
-    by `all_features`.
+    by `all_features`. `powers` is the series' table of Welch segments, to
+    share with later calls; a fresh one by default.
     """
+    powers = SegmentPowers() if powers is None else powers
     lo, hi, n_rejected = (np.asarray(a, dtype=np.intp)
                           for a in (lo, hi, n_rejected))
     n = hi - lo
@@ -107,7 +140,7 @@ def window_features(rr: RrSeries, lo, hi, n_rejected) -> tuple[np.ndarray, np.nd
         R = rr.rr_ms[np.minimum(b_lo[:, None] + np.arange(b_n.max()),
                                 b_hi[:, None] - 1)]
         cols = {**_rr_columns(R, b_n),
-                **_spectral_columns(rr.rr_times_s, rr.rr_ms, b_lo, b_hi)}
+                **_spectral_columns(rr.rr_times_s, rr.rr_ms, b_lo, b_hi, powers)}
         X[rows] = np.column_stack([cols[name] for name in FEATURE_NAMES])
         reasons[rows, 2:] = np.column_stack([cols[r] for r in DROP_REASONS[2:]])
     return X, reasons
@@ -147,7 +180,8 @@ def frequency_domain(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     """
     _refuse(rr, window_span_s)
     return _one(_spectral_columns(rr.rr_times_s, rr.rr_ms, np.array([0]),
-                                  np.array([rr.rr_ms.size])), "frequency")
+                                  np.array([rr.rr_ms.size]), SegmentPowers()),
+                "frequency")
 
 
 def nonlinear(rr_ms) -> WindowFeatures:
@@ -229,54 +263,42 @@ def _sorted_percentile(S: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
 
 def _bin_counts(S: np.ndarray, n: np.ndarray) -> np.ndarray:
     """np.histogram(x, 8, range=(min, max)) counts of each row's first n
-    sorted values: linspace edges, a zero-width range widened by 0.5 on each
-    side, indices moved by one where rounding crossed an edge, and a last
-    bin closed on the right."""
-    rows = np.arange(n.size)
-    lo, hi = S[:, 0], S[rows, n - 1]
-    first, last = (lo - 0.5 * (lo == hi))[:, None], (hi + 0.5 * (lo == hi))[:, None]
-    edges = first + np.arange(SHANEN_BINS + 1) * ((last - first) / SHANEN_BINS)
-    edges[:, -1:] = last
-    valid = np.arange(S.shape[1]) < n[:, None]
-    x = np.where(valid, S, first)
-    idx = np.minimum(((x - first) / (last - first) * SHANEN_BINS).astype(np.intp),
-                     SHANEN_BINS - 1)
-    idx -= x < np.take_along_axis(edges, idx, axis=1)
-    idx += (x >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != SHANEN_BINS - 1)
-    return np.bincount((rows[:, None] * SHANEN_BINS + idx)[valid],
-                       minlength=n.size * SHANEN_BINS).reshape(-1, SHANEN_BINS)
+    sorted values (+inf padded). np.histogram puts each value in the bin whose
+    linspace edges hold it, the last bin closed on the right, and widens a
+    zero-width range by 0.5 on each side. So a bin counts the values below
+    its upper edge less those below its lower edge, and all n lie below the
+    last."""
+    lo, hi = S[:, 0], S[np.arange(n.size), n - 1]
+    first, last = lo - 0.5 * (lo == hi), hi + 0.5 * (lo == hi)
+    inner = (first[:, None]
+             + np.arange(1, SHANEN_BINS) * ((last - first) / SHANEN_BINS)[:, None])
+    below = np.count_nonzero(S[:, None, :] < inner[:, :, None], axis=2)
+    return np.diff(below, prepend=0, append=n[:, None], axis=1)
 
 
 def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray) -> dict:
+                      hi: np.ndarray, powers: SegmentPowers) -> dict:
     """Frequency-domain columns of the windows rr_ms[lo[i]:hi[i]].
 
-    Each window is resampled at 4 Hz on its own grid from its first beat and
-    has its mean removed. Windows with the same Welch segment length and
-    count are cut to the samples Welch reads and share one welch_psd call.
+    Each window is resampled at 4 Hz on its own grid from its first beat.
+    Welch cuts that tachogram into 256-sample segments every 128 samples, or
+    takes it whole when it is shorter, and removes each segment's own mean;
+    the window mean is not removed first. A segment's band powers therefore
+    depend only on its key (see `SegmentPowers`), and a window's are the mean
+    of its segments', taken from `powers` or computed and added to it.
     """
-    t0, t1 = t[lo], t[hi - 1]
-    length = np.ceil((t1 - t0) / (1.0 / RESAMPLE_HZ)).astype(np.intp)
-    k = np.arange(length.max())
-    # np.arange(t0, t1, step) puts sample k at t0 + k * ((t0 + step) - t0).
-    grid = t0[:, None] + k * ((t0 + 1.0 / RESAMPLE_HZ) - t0)[:, None]
-    # Clamped to the window's last beat, the grid interpolates on the whole
-    # series exactly as on the window alone.
-    tach = np.interp(np.minimum(grid, t1[:, None], out=grid), t, rr_ms)
-    del grid  # not held through the Welch calls
-    tach -= (tach.sum(axis=1, where=k < length[:, None]) / length)[:, None]
+    step = 1.0 / RESAMPLE_HZ
+    length = np.ceil((t[hi - 1] - t[lo]) / step).astype(np.intp)
     seg = np.minimum(WELCH_SEGMENT, length)
-    hop = welch_hop(seg)
-    used = seg + (length - seg) // hop * hop
-    bands = np.empty((lo.size, 3))
-    for s, u in set(zip(seg.tolist(), used.tolist())):
-        rows = np.flatnonzero((seg == s) & (used == u))
-        freqs, power = welch_psd(tach[rows, :u], RESAMPLE_HZ, s)
-        for j, (f_lo, f_hi) in enumerate((VLF_BAND, LF_BAND, HF_BAND)):
-            # A band with fewer than 2 bins integrates to 0.
-            band = (freqs >= f_lo) & (freqs <= f_hi)
-            bands[rows, j] = np.trapezoid(power[:, band], freqs[band], axis=-1)
-    vlf, lf, hf = bands.T
+    n_seg = 1 + (length - seg) // welch_hop(WELCH_SEGMENT)
+    first = np.cumsum(n_seg) - n_seg
+    win = np.repeat(np.arange(lo.size), n_seg)
+    end = seg[win] + (np.arange(win.size) - first[win]) * welch_hop(WELCH_SEGMENT)
+    # No window's tachogram is longer than the whole series'.
+    stride = int(np.ceil((t[-1] - t[0]) / step)) + 1
+    bands = powers.get(lo[win] * stride + end, lambda keys: _segment_bands(
+        t, rr_ms, keys // stride, keys % stride))
+    vlf, lf, hf = (np.add.reduceat(bands, first) / n_seg[:, None]).T
     hf_zero, no_power = hf <= 1e-12, lf + hf <= 0
     return {
         "VLF": vlf, "LF": lf, "HF": hf, "TP": vlf + lf + hf,
@@ -285,3 +307,26 @@ def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
         "LnHF": np.log(hf, out=np.full_like(hf, np.nan), where=~hf_zero),
         "hf_zero": hf_zero, "no_lf_hf_power": no_power,
     }
+
+
+def _segment_bands(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
+                   end: np.ndarray) -> np.ndarray:
+    """VLF, LF and HF power of the Welch segments ending at sample `end` of
+    the tachograms that start on beat `lo`; segments of one length share a
+    welch_psd call."""
+    step = 1.0 / RESAMPLE_HZ
+    seg = np.minimum(WELCH_SEGMENT, end)
+    bands = np.empty((lo.size, 3))
+    for s in set(seg.tolist()):
+        rows = np.flatnonzero(seg == s)
+        t0 = t[lo[rows]]
+        k = (end[rows] - s)[:, None] + np.arange(s)
+        # np.arange(t0, t1, step) puts sample k at t0 + k * ((t0 + step) - t0).
+        freqs, power = welch_psd(
+            np.interp(t0[:, None] + k * ((t0 + step) - t0)[:, None], t, rr_ms),
+            RESAMPLE_HZ, s)
+        for j, (f_lo, f_hi) in enumerate((VLF_BAND, LF_BAND, HF_BAND)):
+            # A band with fewer than 2 bins integrates to 0.
+            band = (freqs >= f_lo) & (freqs <= f_hi)
+            bands[rows, j] = np.trapezoid(power[:, band], freqs[band], axis=-1)
+    return bands

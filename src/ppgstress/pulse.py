@@ -59,34 +59,38 @@ def detect_peaks(x, fs: float) -> np.ndarray:
         return np.empty(0)
     ma_peak = _moving_average(y, MA_PEAK_S, fs)
     ma_beat = _moving_average(y, MA_BEAT_S, fs)
-    above = ma_peak > ma_beat + OFFSET_FRAC * np.mean(y)
+    return _pick_peaks(x, ma_peak > ma_beat + OFFSET_FRAC * np.mean(y), fs)
 
+
+def _pick_peaks(x: np.ndarray, above: np.ndarray, fs: float) -> np.ndarray:
+    """One peak time per run of `above` at least MIN_BLOCK_S wide: the run's
+    first maximum of x, refined by a parabola through it and its neighbours
+    unless it is the first or last sample. A peak within REFRACTORY_S of the
+    last one kept is dropped."""
     idx = np.flatnonzero(above)
     if idx.size == 0:
         return np.empty(0)
-    splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    blocks = np.split(idx, splits)
-
-    min_width = int(round(MIN_BLOCK_S * fs))
+    starts = np.r_[0, np.flatnonzero(np.diff(idx) > 1) + 1]
+    width = np.diff(starts, append=idx.size)
+    # The maxima of every block first: a reduceat over the wide blocks' starts
+    # alone would run each maximum on into the narrow blocks after it.
+    xb = x[idx]
+    hits = np.flatnonzero(xb == np.repeat(np.maximum.reduceat(xb, starts), width))
+    # Each block holds a hit, so its first is the first hit at or after its start.
+    first_max = hits[np.searchsorted(hits, starts)]
+    i = idx[first_max[width >= int(round(MIN_BLOCK_S * fs))]]
+    # Parabolic sub-sample refinement over the 3 samples around each index.
+    a, b, c = x[np.maximum(i - 1, 0)], x[i], x[np.minimum(i + 1, x.size - 1)]
+    denom = a - 2 * b + c
+    refine = (i > 0) & (i < x.size - 1) & (denom < 0)
+    times = np.where(refine, i + 0.5 * (a - c) / np.where(refine, denom, -1.0),
+                     i) / fs
     peaks = []
-    for blk in blocks:
-        if len(blk) < min_width:
-            continue
-        i = blk[np.argmax(x[blk])]
-        t = _refine(x, i, fs)
+    for t in times.tolist():
         if peaks and t - peaks[-1] < REFRACTORY_S:
             continue
         peaks.append(t)
     return np.array(peaks)
-
-
-def _refine(x: np.ndarray, i: int, fs: float) -> float:
-    """Parabolic sub-sample refinement over the 3 samples around index i."""
-    if 0 < i < len(x) - 1:
-        denom = x[i - 1] - 2 * x[i] + x[i + 1]
-        if denom < 0:
-            return (i + 0.5 * (x[i - 1] - x[i + 1]) / denom) / fs
-    return i / fs
 
 
 def to_rr(peak_times_s) -> RrSeries:

@@ -123,23 +123,26 @@ def prepare_trace(trace: PpgTrace) -> pulse.RrSeries:
 
 
 def build_matrix(ds: Dataset, spec: WindowSpec,
-                 prepared: dict[str, pulse.RrSeries] | None = None) -> FeatureMatrix:
+                 prepared: dict[str, tuple[pulse.RrSeries, hrv.SegmentPowers]]
+                 | None = None) -> FeatureMatrix:
     """filtfilt -> peaks -> RR -> HRV features of all windows, one
     `hrv.window_features` call per trace.
 
-    Unusable windows are dropped (logged per reason); a subject left without
-    both classes is an error.
+    `prepared` maps a subject to its RrSeries and its table of Welch segments,
+    which a sweep shares across window sizes. Unusable windows are dropped
+    (logged per reason); a subject left without both classes is an error.
     """
     subjects, labels, starts, rows = [], [], [], []
     for trace in ds:
-        rr = (prepared or {}).get(trace.subject_id) or prepare_trace(trace)
+        rr, powers = ((prepared or {}).get(trace.subject_id)
+                      or (prepare_trace(trace), None))
         wins = segment(trace, spec)
         start = np.array([w.start_s for w in wins])
         end = np.array([w.end_s for w in wins])
         label = np.array([w.label for w in wins], dtype=int)
         lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
         rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo)
+        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, powers)
         keep = ~reasons.any(axis=1)
         if not keep.all():
             # Each dropped window counts once, under its first reason.
@@ -186,7 +189,7 @@ def f_scores(classes: moments.Moments) -> np.ndarray:
 def rank(f: np.ndarray) -> np.ndarray:
     """Column indices by descending F; bit-equal F keep catalog order, nan last.
 
-    LFn + HFn = 100, so their F values are equal in exact arithmetic, but
+    LFn + HFn = 1, so their F values are equal in exact arithmetic, but
     rounding may put either first.
     """
     return np.argsort(-f, kind="stable")

@@ -11,19 +11,39 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_hrv
-from ppgstress import hrv, io, pulse, windows
+from ppgstress import evaluate, hrv, io, pulse, windows
 
 REL = 1e-9
 # Order statistics and counts are replicated operation by operation, so
 # they agree exactly; sums may associate differently.
 EXACT = ("MedianNN", "MadNN", "IQRNN", "pNN20", "pNN50", "MinNN", "MaxNN")
+# Sizes that share windows' first beats: 60 and 62 s tachograms are shorter
+# than one Welch segment, 100 and 120 s ones hold two.
+SWEEP_SIZES = (60.0, 62.0, 80.0, 100.0, 120.0)
 
 
 @pytest.fixture(scope="session")
 def prepared16(cohort16):
     return {t.subject_id: windows.prepare_trace(t) for t in cohort16}
+
+
+@pytest.fixture(scope="module")
+def sweep16(cohort16):
+    """The matrix `sweep_windows` builds at each of SWEEP_SIZES on cohort16."""
+    built = {}
+
+    def recording(ds, spec, prepared=None):
+        built[spec.size_s] = windows.build_matrix(ds, spec, prepared)
+        return built[spec.size_s]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "build_matrix", recording)
+        evaluate.sweep_windows(cohort16, SWEEP_SIZES)
+    return built
 
 
 def scalar_rows(ds, spec, prepared):
@@ -47,14 +67,19 @@ def assert_features_match(got, want):
         np.testing.assert_array_equal(got[:, j], want[:, j], err_msg=name)
 
 
-@pytest.mark.parametrize("size", [60.0, 62.0, 80.0, 120.0])
-def test_cohort_matches_scalar_reference(cohort16, prepared16, size):
+@pytest.mark.parametrize("size", SWEEP_SIZES)
+def test_cohort_matches_scalar_reference(cohort16, prepared16, sweep16, size):
     spec = windows.WindowSpec(size, 5.0)
-    m = windows.build_matrix(cohort16, spec, prepared=prepared16)
+    m = sweep16[size]
     X, starts, _ = scalar_rows(cohort16, spec, prepared16)
     assert X.shape == m.X.shape
     np.testing.assert_array_equal(m.starts, starts)
     assert_features_match(m.X, X)
+    # Segments shared with other sizes change no bit of a size's matrix.
+    alone = windows.build_matrix(cohort16, spec, {
+        sid: (rr, hrv.SegmentPowers()) for sid, rr in prepared16.items()})
+    np.testing.assert_array_equal(m.X, alone.X)
+    np.testing.assert_array_equal(m.starts, alone.starts)
 
 
 def degraded_rr() -> pulse.RrSeries:
@@ -87,12 +112,11 @@ def degraded_dataset(rr: pulse.RrSeries) -> io.Dataset:
     return io.Dataset((io.PpgTrace("d1", 25.0, np.zeros(int(610 * 25)), spans),))
 
 
-# Batches of 5 split runs of refused and flagged windows at many places.
-@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
-@pytest.mark.parametrize("size", [60.0, 62.0, 80.0])
-def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
-    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
-    rr = degraded_rr()
+def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers):
+    """`window_features` on the degraded trace at one size, with the segment
+    table given, against the scalar reference: the same refusals, flags and
+    values. Returns the windows, the reference outcomes, the rows and the
+    drop reasons."""
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)
     wins = windows.segment(ds.traces[0], spec)
@@ -100,7 +124,7 @@ def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
     end = np.array([w.end_s for w in wins])
     lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
     rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-    X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo)
+    X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, powers)
 
     outcomes = scalar_hrv.window_outcomes(rr, wins, size)
     refused = np.array([feats is None for feats, _ in outcomes])
@@ -113,7 +137,16 @@ def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
     want = np.array([[feats.values[n] for n in hrv.FEATURE_NAMES]
                      for feats, _ in outcomes if feats is not None])
     assert_features_match(X[~refused], want)
+    return wins, outcomes, X, reasons
 
+
+# Batches of 5 split runs of refused and flagged windows at many places.
+@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
+@pytest.mark.parametrize("size", [60.0, 62.0, 80.0])
+def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
+    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
+    rr = degraded_rr()
+    wins, outcomes, _, reasons = check_degraded(rr, size, hrv.SegmentPowers())
     firsts = Counter(reason for _, reason in outcomes)
     assert {"data_error", "too_many_rejected_intervals", "hf_zero", ""} <= set(firsts)
     # The first interval ending after 150 s still began in the random stretch.
@@ -121,10 +154,30 @@ def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
                 if 152.0 <= w.start_s and w.end_s <= 260.0]
     assert constant and np.all(reasons[constant, 2:])
 
-    m = windows.build_matrix(ds, spec, prepared={"d1": rr})
+    ds = degraded_dataset(rr)
+    spec = windows.WindowSpec(size, 5.0)
+    m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
     kept, starts, _ = scalar_rows(ds, spec, {"d1": rr})
     np.testing.assert_array_equal(m.starts, starts)
     assert_features_match(m.X, kept)
+
+
+@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
+def test_degraded_sweep_shares_segments_exactly(batch, monkeypatch):
+    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
+    rr = degraded_rr()
+    shared, unshared = hrv.SegmentPowers(), 0
+    for size in SWEEP_SIZES:
+        alone = hrv.SegmentPowers()
+        X = check_degraded(rr, size, alone)[2]
+        np.testing.assert_array_equal(check_degraded(rr, size, shared)[2], X)
+        unshared += alone.keys.size
+    assert shared.keys.size < unshared
+    # A second pass finds every segment in the table.
+    held = shared.keys.copy()
+    for size in SWEEP_SIZES:
+        check_degraded(rr, size, shared)
+    np.testing.assert_array_equal(shared.keys, held)
 
 
 def test_build_matrix_logs_drop_reasons(caplog):
@@ -132,7 +185,7 @@ def test_build_matrix_logs_drop_reasons(caplog):
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(62.0, 5.0)
     with caplog.at_level(logging.INFO, logger="ppgstress.windows"):
-        m = windows.build_matrix(ds, spec, prepared={"d1": rr})
+        m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
     _, _, reasons = scalar_rows(ds, spec, {"d1": rr})
     dropped = Counter(r for r in reasons if r)
     assert m.n_rows == len(reasons) - sum(dropped.values())
@@ -178,6 +231,33 @@ def test_bin_counts_match_np_histogram():
     got = hrv._bin_counts(*sorted_rows(rows))
     want = np.array([scalar_hrv.histogram_counts(r) for r in rows])
     np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def edge_rows(draw):
+    """A batch of RR-like rows whose values sit on, or one ulp beside, their
+    8 bin edges, computed either as np.histogram's linspace or as
+    lo + k * width / 8; zero widths give constant rows."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo = draw(st.floats(300.0, 1500.0))
+        hi = lo + draw(st.sampled_from([0.0, 0.7, 400.0]) | st.floats(1e-3, 3000.0))
+        grid = (np.linspace(lo, hi, hrv.SHANEN_BINS + 1) if draw(st.booleans())
+                else lo + np.arange(hrv.SHANEN_BINS + 1) * ((hi - lo) / hrv.SHANEN_BINS))
+        picks = draw(st.lists(st.tuples(st.integers(0, hrv.SHANEN_BINS),
+                                        st.sampled_from([-1.0, 0.0, 1.0])),
+                              min_size=2, max_size=40))
+        x = np.array([np.nextafter(grid[k], grid[k] + step) if step else grid[k]
+                      for k, step in picks])
+        rows.append(np.clip(np.r_[lo, hi, x], lo, hi))
+    return rows
+
+
+@given(edge_rows())
+@settings(max_examples=150, deadline=None)
+def test_bin_counts_match_np_histogram_on_edges(rows):
+    want = np.array([scalar_hrv.histogram_counts(r) for r in rows])
+    np.testing.assert_array_equal(hrv._bin_counts(*sorted_rows(rows)), want)
 
 
 def test_order_statistics_match_numpy():

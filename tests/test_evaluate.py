@@ -156,6 +156,23 @@ def test_bad_k_refused_before_data_work(cohort16, monkeypatch, entry, k):
         entry(cohort16, k=k)
 
 
+@pytest.mark.parametrize("entry, kwargs, match", [
+    (evaluate.sweep_windows, {"sizes": (60.0, math.nan)}, "^window size must be"),
+    (evaluate.sweep_windows, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
+    (evaluate.loso, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
+], ids=["sweep-nan-size", "sweep-model", "loso-model"])
+def test_bad_arguments_refused_before_data_work(cohort16, monkeypatch, entry,
+                                                 kwargs, match):
+    def no_work(*args, **kwargs):
+        raise AssertionError("data work began before the arguments were checked")
+
+    for module in (windows, evaluate):
+        monkeypatch.setattr(module, "prepare_trace", no_work)
+        monkeypatch.setattr(module, "build_matrix", no_work)
+    with pytest.raises(ValidationError, match=match):
+        entry(cohort16, **kwargs)
+
+
 def oracle_exact_u(a, b):
     """Rank-free brute force: U counts pairs (x in A, y in B) with x > y
     (+0.5 for ties); the p-value enumerates every assignment of the pooled

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_pulse
 from ppgstress import dsp, io, pulse
 from ppgstress.errors import DataError
 
@@ -73,6 +76,57 @@ def test_dicrotic_notch_keeps_one_peak_per_beat(fs):
     rr = pulse.to_rr(peaks)
     assert rr.n_rejected == 0
     assert np.max(np.abs(rr.rr_ms - plan[1:])) <= 5.0
+
+
+fs_range = st.sampled_from([25.0, 100.0, 1000.0]) | st.floats(25.0, 1000.0)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def block_signals(draw):
+    """(x, above, fs): runs of `above` about MIN_BLOCK_S wide, so narrow runs
+    precede wide ones, with gaps under REFRACTORY_S that chain refractory
+    conflicts, runs that may touch the first or last sample, and x rounded
+    into plateaus, so a run's maximum may be tied."""
+    fs = draw(fs_range)
+    min_width = int(round(pulse.MIN_BLOCK_S * fs))
+    above = [False] * draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 12))):
+        above += [True] * draw(st.integers(max(1, min_width - 2), min_width + 2)
+                               | st.integers(1, 3 * min_width))
+        above += [False] * draw(st.integers(1, int(pulse.REFRACTORY_S * fs * 1.5)))
+    if draw(st.booleans()):
+        while not above[-1]:
+            above.pop()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = np.arange(len(above)) / fs
+    x = np.sin(2 * np.pi * draw(st.floats(0.5, 3.0)) * t) + rng.normal(
+        0.0, draw(st.floats(0.0, 1.0)), t.size)
+    return np.round(x, draw(st.integers(0, 3))), np.array(above), fs
+
+
+@given(block_signals())
+@settings(max_examples=300, deadline=None)
+def test_pick_peaks_is_bit_equal_to_per_block_loop(signal):
+    x, above, fs = signal
+    assert_bit_equal(pulse._pick_peaks(x, above, fs),
+                     scalar_pulse.pick_peaks(x, above, fs))
+
+
+@given(fs_range, st.floats(0.0, 1.0), st.sampled_from([None, 1, 2]),
+       st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_detect_peaks_is_bit_equal_to_per_block_loop(fs, noise, decimals, seed):
+    plan = 850.0 + np.random.default_rng(seed).uniform(-150.0, 150.0, 12)
+    trace = io.synth_ppg(plan, fs, noise, seed=seed)
+    x = dsp.filtfilt(dsp.design_butter_bandpass(3, 0.5, 8.0, fs), trace.samples)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    assert_bit_equal(pulse.detect_peaks(x, fs), scalar_pulse.detect_peaks(x, fs))
 
 
 class TestToRr:
