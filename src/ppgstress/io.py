@@ -24,6 +24,7 @@ from .pulse import RR_MAX_MS, RR_MIN_MS
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
 # float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 7).
 FLOAT_FMT = "%.12g"
+_CHUNK = 4096  # signal samples formatted by one `%`: about 60 kB of text
 
 
 class Condition(Enum):
@@ -160,23 +161,29 @@ DICROTIC_AMPLITUDE = 0.3
 
 
 def _render_beats(beat_times: np.ndarray, fs: float, n: int, dicrotic: bool) -> np.ndarray:
-    """Sum one squared-cosine lobe per beat (peak exactly at the beat time)."""
-    t = np.arange(n) / fs
-    x = np.zeros(n)
+    """Sum one squared-cosine lobe per beat (peak exactly at the beat time).
+
+    All lobes at once: lobe r covers samples i0[r] <= i < i1[r], and
+    `np.bincount` adds each sample's terms in input order (beat-major,
+    lobe-minor) from 0.0, so overlapping lobes sum as a per-beat loop would.
+    """
     half = PULSE_WIDTH_S / 2
-    lobes = [(0.0, 1.0)]
+    delays, amps = [0.0], [1.0]
     if dicrotic:
-        lobes.append((DICROTIC_DELAY_S, DICROTIC_AMPLITUDE))
-    for tb in beat_times:
-        for delay, amp in lobes:
-            c = tb + delay
-            i0 = max(0, int(math.ceil((c - half) * fs)))
-            i1 = min(n, int(math.floor((c + half) * fs)) + 1)
-            if i0 >= i1:
-                continue
-            u = t[i0:i1] - c
-            x[i0:i1] += amp * np.cos(np.pi * u / PULSE_WIDTH_S) ** 2
-    return x
+        delays.append(DICROTIC_DELAY_S)
+        amps.append(DICROTIC_AMPLITUDE)
+    c = (beat_times[:, None] + np.array(delays)).ravel()
+    amp = np.tile(amps, len(beat_times))
+    i0 = np.maximum(0, np.ceil((c - half) * fs).astype(np.intp))
+    i1 = np.minimum(n, np.floor((c + half) * fs).astype(np.intp) + 1)
+    idx = i0[:, None] + np.arange(np.max(i1 - i0, initial=0))
+    mask = idx < i1[:, None]
+    rows = np.broadcast_to(np.arange(len(c))[:, None], idx.shape)[mask]
+    idx = idx[mask]
+    u = idx / fs - c[rows]
+    x = np.bincount(idx, amp[rows] * np.cos(np.pi * u / PULSE_WIDTH_S) ** 2,
+                    minlength=n)
+    return x.astype(float, copy=False)  # empty weights give int zeros
 
 
 def synth_ppg(
@@ -204,7 +211,7 @@ def synth_ppg(
     x = _render_beats(beat_times, fs, n, dicrotic)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, noise_sigma, size=n)
+        x += rng.normal(0.0, noise_sigma, size=n)
     return PpgTrace(subject_id, fs, x, annotations, suds)
 
 
@@ -270,7 +277,9 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         sig, ann, sud = f"{sid}_ppg.csv", f"{sid}_annotations.csv", f"{sid}_suds.csv"
         with open(out / sig, "w", newline="") as f:
             f.write("ppg\n")
-            f.writelines(FLOAT_FMT % v + "\n" for v in tr.samples)
+            for lo in range(0, len(tr.samples), _CHUNK):
+                chunk = tr.samples[lo:lo + _CHUNK].tolist()
+                f.write((FLOAT_FMT + "\n") * len(chunk) % tuple(chunk))
         with open(out / ann, "w", newline="") as f:
             f.write("start_s,end_s,condition\n")
             for sp in tr.annotations:

@@ -38,7 +38,8 @@ def _sigmoid(x):
 
 
 def _check_two_classes(y: np.ndarray):
-    if set(np.unique(y)) != {0, 1}:
+    # Not np.unique: its first call imports numpy.ma, about 1 MB that stays.
+    if set(np.ravel(y).tolist()) != {0, 1}:
         raise DataError(f"need both classes present, got labels {np.unique(y)}")
 
 

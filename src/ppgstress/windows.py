@@ -72,6 +72,12 @@ class FeatureMatrix:
             raise ValidationError("feature matrix row metadata lengths disagree")
         if self.X.shape[1] != len(self.columns):
             raise ValidationError("column count mismatch")
+        bad = np.argwhere(~np.isfinite(self.X))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(
+                f"subject {self.subjects[i]}: non-finite {self.columns[j]} "
+                f"{self.X[i, j]} in the window starting at {self.starts[i]:g} s")
 
     @property
     def n_rows(self) -> int:

@@ -11,6 +11,12 @@ def rr_series(rr_ms, t0=0.0):
     return pulse.RrSeries(np.r_[t0, times], rr, times)
 
 
+def assert_bit_equal(got, want):
+    """Same dtype, shape and bytes: equal to the last bit, nan and -0.0 included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def one_fold(X):
     """The fold of every row and column of X, unscaled: with it,
     `models.sgd_logistic_fit` is a single fit on X."""

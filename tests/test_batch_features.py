@@ -194,6 +194,20 @@ def test_build_matrix_logs_drop_reasons(caplog):
             f"({expected})") in caplog.messages
 
 
+def test_build_matrix_keeps_only_finite_rows():
+    # The degraded trace's refused windows are nan rows and its flagged ones
+    # hold nan: every such row is dropped, and every kept row is finite.
+    rr = degraded_rr()
+    ds = degraded_dataset(rr)
+    spec = windows.WindowSpec(62.0, 5.0)
+    X, reasons = check_degraded(rr, 62.0, hrv.SegmentPowers())[2:]
+    finite = np.isfinite(X).all(axis=1)
+    assert not finite.all() and reasons[~finite].any(axis=1).all()
+    m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
+    assert np.isfinite(m.X).all()
+    assert m.n_rows == np.count_nonzero(~reasons.any(axis=1))
+
+
 def tie_heavy_rows(n_rows: int, seed: int):
     """RR-like rows whose values sit on, or one ulp beside, their 8 bin edges.
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scalar_synth
+from conftest import assert_bit_equal
 from ppgstress import io
 from ppgstress.errors import DataError, ValidationError
 
@@ -96,6 +98,109 @@ class TestSynthPpg:
     def test_out_of_range_rr(self):
         with pytest.raises(ValidationError):
             io.synth_ppg([100.0] * 10, 100.0)
+
+
+def _beat_times(plan: str, n_beats: int = 120) -> np.ndarray:
+    if plan == "rr300":  # the shortest interval a plan may hold
+        return np.cumsum(np.full(n_beats, 300.0)) / 1000.0
+    rng = np.random.default_rng(11)
+    if plan == "dense":  # up to 30 lobes on a sample: their order shows in the sum
+        return np.cumsum(rng.uniform(10.0, 60.0, n_beats)) / 1000.0
+    return np.cumsum(rng.uniform(300.0, 2000.0, n_beats)) / 1000.0
+
+
+class TestRenderBeats:
+    """The one-pass render against the per-beat slice-add loop: bit-equal."""
+
+    @pytest.mark.parametrize("fs", [25.0, 100.0, 250.0, 1000.0])
+    @pytest.mark.parametrize("dicrotic", [False, True])
+    @pytest.mark.parametrize("plan", ["rr300", "random", "dense"])
+    def test_bit_equal_to_per_beat_loop(self, fs, dicrotic, plan):
+        beats = _beat_times(plan)
+        n = int(round((beats[-1] + io.PULSE_WIDTH_S) * fs))
+        assert_bit_equal(io._render_beats(beats, fs, n, dicrotic),
+                         scalar_synth.render_beats(beats, fs, n, dicrotic))
+
+    @pytest.mark.parametrize("fs", [25.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("dicrotic", [False, True])
+    def test_lobes_clipped_at_both_ends(self, fs, dicrotic):
+        # The beat at 0.05 s starts before sample 0 and the last beat before
+        # n ends past it; a beat at -1 s and one past n have no samples.
+        beats = _beat_times("random", 40)
+        beats = np.r_[-1.0, beats - beats[0] + 0.05, beats[-1] + 5.0]
+        n = int(beats[-2] * fs)
+        assert_bit_equal(io._render_beats(beats, fs, n, dicrotic),
+                         scalar_synth.render_beats(beats, fs, n, dicrotic))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fs=st.floats(25.0, 1000.0), dicrotic=st.booleans(),
+           rr=st.lists(st.floats(10.0, 2000.0), min_size=1, max_size=30),
+           t0=st.floats(-1.0, 1.0), cut=st.floats(0.0, 1.0))
+    def test_bit_equal_property(self, fs, dicrotic, rr, t0, cut):
+        beats = t0 + np.cumsum(rr) / 1000.0
+        n = int(max(0.0, beats[-1] + io.PULSE_WIDTH_S) * fs * cut)
+        assert_bit_equal(io._render_beats(beats, fs, n, dicrotic),
+                         scalar_synth.render_beats(beats, fs, n, dicrotic))
+
+    @pytest.mark.parametrize("n_subjects", [16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_synth_cohort_bit_equal(self, monkeypatch, n_subjects, seed):
+        spec = io.SynthCohortSpec(n_subjects=n_subjects, seed=seed)
+        ds = io.synth_cohort(spec)
+        rendered = {}  # every subject has the same beat plan: render it once
+
+        def loop(beats, fs, n, dicrotic):
+            key = (beats.tobytes(), fs, n, dicrotic)
+            if key not in rendered:
+                rendered[key] = scalar_synth.render_beats(beats, fs, n, dicrotic)
+            return rendered[key].copy()
+
+        monkeypatch.setattr(io, "_render_beats", loop)
+        for a, b in zip(ds, io.synth_cohort(spec), strict=True):
+            assert_bit_equal(a.samples, b.samples)
+
+
+class TestSignalWrite:
+    """`save_dataset` formats its signal a chunk at a time: the file must be
+    byte-equal to one `FLOAT_FMT` per value."""
+
+    # Each written in exponent form by %.12g, or a sign and exponent corner.
+    EXPONENT_FORM = [1e-5, -3.25e-7, 1.5e17, 6.02214076e23, -1e300, 5e-324,
+                     np.finfo(float).max, -0.0, 1e12, 123456789012345.0]
+
+    def _written(self, tmp_path, samples) -> bytes:
+        trace = io.PpgTrace("S01", 100.0, samples)
+        io.save_dataset(io.Dataset((trace,)), tmp_path)
+        return (tmp_path / "S01_ppg.csv").read_bytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lengths_around_a_chunk(self, tmp_path, offset):
+        n = io._CHUNK + offset
+        rng = np.random.default_rng(offset + 1)
+        x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 20, n)
+        x[::97] = np.resize(self.EXPONENT_FORM, len(x[::97]))
+        assert self._written(tmp_path, x) == scalar_synth.signal_text(x).encode()
+
+    def test_exponent_form_values(self, tmp_path):
+        x = np.array(self.EXPONENT_FORM)
+        text = scalar_synth.signal_text(x)
+        assert "e-05" in text and "e+17" in text and "\n-0\n" in text
+        assert self._written(tmp_path, x) == text.encode()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+           chunk=st.integers(1, 5))
+    def test_any_values_any_chunk(self, tmp_path, monkeypatch, x, chunk):
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        assert self._written(tmp_path, x) == scalar_synth.signal_text(x).encode()
+
+    def test_cohort_files_byte_equal(self, cohort16, tmp_path):
+        two = io.Dataset(cohort16.traces[:2])
+        io.save_dataset(two, tmp_path)
+        for tr in two:
+            assert ((tmp_path / f"{tr.subject_id}_ppg.csv").read_bytes()
+                    == scalar_synth.signal_text(tr.samples).encode())
 
 
 class TestSynthCohort:

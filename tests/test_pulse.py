@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_pulse
+from conftest import assert_bit_equal
 from ppgstress import dsp, io, pulse
 from ppgstress.errors import DataError
 
@@ -79,11 +80,6 @@ def test_dicrotic_notch_keeps_one_peak_per_beat(fs):
 
 
 fs_range = st.sampled_from([25.0, 100.0, 1000.0]) | st.floats(25.0, 1000.0)
-
-
-def assert_bit_equal(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 @st.composite

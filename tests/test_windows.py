@@ -129,6 +129,24 @@ class TestSubjectCodes:
         np.testing.assert_array_equal(sub.labels, [1, 0, 0])
 
 
+class TestFiniteValues:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named(self, value):
+        X = np.arange(10.0).reshape(5, 2)
+        X[3, 1] = value
+        with pytest.raises(ValidationError, match=(
+                rf"^subject C: non-finite f1 {value} in the window starting at 35 s$")):
+            windows.FeatureMatrix(("B", "A", "B", "C", "A"), np.array([0, 1, 1, 0, 0]),
+                                  np.arange(5.0) * 5 + 20, X, ("f0", "f1"))
+
+    def test_first_non_finite_row_named(self):
+        X = np.full((3, 2), np.nan)
+        X[0] = 1.0
+        with pytest.raises(ValidationError, match="^subject b: non-finite f0 nan .* at 1 s$"):
+            windows.FeatureMatrix(("a", "b", "c"), np.array([0, 1, 1]),
+                                  np.arange(3.0), X, ("f0", "f1"))
+
+
 class TestAnovaF:
     def mk(self, cols, labels):
         X = np.array(cols, dtype=float).T
