@@ -18,7 +18,7 @@ from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matr
 # Largest combined sample size whose U-test p-value is enumerated exactly.
 EXACT_U_CAP = 16
 # Features kept by the per-fold ANOVA-F selection.
-DEFAULT_K = 35
+DEFAULT_K = 35  # exceeds the 27 columns: all are kept, and ANOVA-F only orders them
 
 
 def metrics(y_true, y_pred) -> tuple[float, dict[str, int]]:
@@ -165,7 +165,8 @@ def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
 
 
 def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
-    """Permute labels within each subject: the chance-level control."""
+    """Permute labels within each subject: the chance-level control, and the
+    narrow window-level null, since the windows it permutes one by one overlap."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     labels = matrix.labels.copy()
@@ -188,6 +189,8 @@ def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
     check_seed(seed)
     check_k(k)
     specs = [WindowSpec(float(size), step_s) for size in sizes]
+    if not specs:
+        raise ValidationError(f"sizes names no window size: {sizes!r}")
     _check_model_kind(model_kind)
     prepared = {t.subject_id: (prepare_trace(t), hrv.SegmentPowers()) for t in ds}
     rows = []

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dsp import welch_hop, welch_psd
 from .errors import DataError
-from .pulse import RrSeries
+from .pulse import RrSeries, window_bounds
 
 CATALOG_VERSION = "1"
 
@@ -111,23 +111,24 @@ class SegmentPowers:
         return self.bands[at]
 
 
-def window_features(rr: RrSeries, lo, hi, n_rejected,
+def window_features(rr: RrSeries, start_s, end_s,
                     powers: SegmentPowers | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Catalog rows of the windows `rr.rr_ms[lo[i]:hi[i]]` of one RR series.
+    """Catalog rows of the windows [start_s[i], end_s[i]) of one RR series; a
+    window holds the intervals whose terminating peak lies in it (`window_bounds`).
 
     Returns `(X, reasons)`: X has a row per window in FEATURE_NAMES order
     (NaN where refused), and `reasons[i, j]` is whether DROP_REASONS[j]
     applies to window i. A window is refused with fewer than 20 intervals;
-    its `n_rejected[i]` screened-out intervals count towards the rejected
-    fraction. Spans under 60 s are refused before this, by `WindowSpec` and
-    by `all_features`. `powers` is the series' table of Welch segments, to
+    the rejected intervals it holds count towards the rejected fraction.
+    Spans under 60 s are refused before this, by `WindowSpec` and by
+    `all_features`. `powers` is the series' table of Welch segments, to
     share with later calls; a fresh one by default.
     """
     powers = SegmentPowers() if powers is None else powers
-    lo, hi, n_rejected = (np.asarray(a, dtype=np.intp)
-                          for a in (lo, hi, n_rejected))
-    n = hi - lo
+    (lo, hi), (j0, j1) = (window_bounds(times, start_s, end_s)
+                          for times in (rr.rr_times_s, rr.rejected_times_s))
+    n, n_rejected = hi - lo, j1 - j0
     reasons = np.zeros((n.size, len(DROP_REASONS)), dtype=bool)
     reasons[:, 0] = n < SPECTRAL_MIN_INTERVALS
     reasons[:, 1] = n_rejected / np.maximum(n + n_rejected, 1) > MAX_REJECTED_FRAC
@@ -192,7 +193,7 @@ def nonlinear(rr_ms) -> WindowFeatures:
 def all_features(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     """All catalog features for one window; any sub-domain flag marks it unusable."""
     _refuse(rr, window_span_s)
-    X, reasons = window_features(rr, [0], [rr.rr_ms.size], [rr.n_rejected])
+    X, reasons = window_features(rr, [-np.inf], [np.inf])
     return WindowFeatures(dict(zip(FEATURE_NAMES, X[0].tolist())),
                           tuple(r for r, on in zip(DROP_REASONS, reasons[0]) if on))
 

@@ -203,7 +203,8 @@ def synth_ppg(
     rr = np.asarray(rr_plan_ms, dtype=float)
     if rr.size == 0:
         raise DataError("rr_plan is empty")
-    if np.any(rr < RR_MIN_MS) or np.any(rr > RR_MAX_MS):
+    # One test for both bounds: nan fails it too.
+    if not np.all((rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)):
         raise ValidationError(
             f"rr_plan values must lie in [{RR_MIN_MS:g}, {RR_MAX_MS:g}] ms")
     beat_times = np.cumsum(rr) / 1000.0
@@ -235,30 +236,30 @@ def plan_rr(mean_rr_ms: float, lf_ms: float, hf_ms: float, span_s: float,
 
 def synth_cohort(spec: SynthCohortSpec) -> Dataset:
     """Deterministic cohort: per subject one Relaxing then one Stressful span."""
+    # Everything but the rng draws depends on the spec alone.
+    rr_relax = plan_rr(60000.0 / spec.relaxed_hr, *spec.relaxed_hrv, spec.span_s)
+    t_switch = float(np.sum(rr_relax)) / 1000.0
+    rr_stress = plan_rr(60000.0 / spec.stressed_hr, *spec.stressed_hrv,
+                        spec.span_s, t0_s=t_switch)
+    rr_plan = np.concatenate([rr_relax, rr_stress])
+    duration = float(np.sum(rr_plan)) / 1000.0
+    spans = (ConditionSpan(0.0, t_switch, Condition.RELAXING),
+             ConditionSpan(t_switch, duration, Condition.STRESSFUL))
+    # SUDs times, every 2 minutes with the last nudged inside, and their ranges.
+    suds_at = []
+    k = 1
+    while k * 120.0 <= duration + 60.0:
+        t = min(k * 120.0, duration - 0.1)
+        suds_at.append((t, (5, 25) if spans[0].contains(t) else (55, 90)))
+        k += 1
     traces = []
     for i in range(spec.n_subjects):
         rng = np.random.default_rng([spec.seed, i])
-        rr_relax = plan_rr(60000.0 / spec.relaxed_hr, *spec.relaxed_hrv, spec.span_s)
-        t_switch = float(np.sum(rr_relax)) / 1000.0
-        rr_stress = plan_rr(60000.0 / spec.stressed_hr, *spec.stressed_hrv,
-                            spec.span_s, t0_s=t_switch)
-        rr_plan = np.concatenate([rr_relax, rr_stress])
-        duration = float(np.sum(rr_plan)) / 1000.0
-        spans = (
-            ConditionSpan(0.0, t_switch, Condition.RELAXING),
-            ConditionSpan(t_switch, duration, Condition.STRESSFUL),
-        )
-        # SUDs every 2 minutes; last rating nudged inside the trace.
-        ratings = []
-        k = 1
-        while k * 120.0 <= duration + 60.0:
-            t = min(k * 120.0, duration - 0.1)
-            low, high = ((5, 25) if spans[0].contains(t) else (55, 90))
-            ratings.append(SudsRating(t, int(rng.integers(low, high + 1))))
-            k += 1
+        ratings = tuple(SudsRating(t, int(rng.integers(low, high + 1)))
+                        for t, (low, high) in suds_at)
         traces.append(synth_ppg(
             rr_plan, spec.fs, spec.noise_sigma, seed=int(rng.integers(2**31)),
-            subject_id=f"S{i + 1:02d}", annotations=spans, suds=tuple(ratings),
+            subject_id=f"S{i + 1:02d}", annotations=spans, suds=ratings,
         ))
     return Dataset(tuple(traces))
 

@@ -36,26 +36,23 @@ class WindowSpec:
             raise ValidationError(f"step must be in (0, size], got {self.step_s}")
 
 
-@dataclass(frozen=True)
-class Window:
-    subject_id: str
-    label: int  # 0 relaxed, 1 stressed
-    start_s: float
-    end_s: float
-
-
-def segment(trace: PpgTrace, spec: WindowSpec) -> list[Window]:
-    """Windows placed independently inside each condition span (never straddling)."""
-    out = []
+def segment(trace: PpgTrace, spec: WindowSpec) -> np.recarray:
+    """Windows placed independently inside each condition span (never
+    straddling): a record array of `start_s`, `end_s` and `label` (0 relaxed,
+    1 stressed), in span order."""
+    start, label = [np.empty(0)], [np.empty(0, dtype=int)]
     for span in trace.annotations:
-        i = 0
-        # Each start is computed afresh, so float error does not accumulate.
-        while ((start := span.start_s + i * spec.step_s) + spec.size_s
-               <= span.end_s + 1e-9):
-            out.append(Window(trace.subject_id, span.condition.value,
-                              start, start + spec.size_s))
-            i += 1
-    return out
+        last = span.end_s + 1e-9
+        # Each start is computed afresh, so float error does not accumulate;
+        # rounding can let one candidate past the floor pass the test.
+        m = int((last - span.start_s - spec.size_s) // spec.step_s) + 2
+        s = span.start_s + np.arange(m) * spec.step_s
+        s = s[s + spec.size_s <= last]
+        start.append(s)
+        label.append(np.full(s.size, span.condition.value))
+    start = np.concatenate(start)
+    return np.rec.fromarrays([start, start + spec.size_s, np.concatenate(label)],
+                             names=["start_s", "end_s", "label"])
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,7 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
         rr, powers = ((prepared or {}).get(trace.subject_id)
                       or (prepare_trace(trace), None))
         wins = segment(trace, spec)
-        start = np.array([w.start_s for w in wins])
-        end = np.array([w.end_s for w in wins])
-        label = np.array([w.label for w in wins], dtype=int)
-        lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
-        rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-        X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, powers)
+        X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s, powers)
         keep = ~reasons.any(axis=1)
         if not keep.all():
             # Each dropped window counts once, under its first reason.
@@ -156,12 +148,12 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
             log.info("subject %s: dropped %d unusable windows (%s)", trace.subject_id,
                      np.count_nonzero(~keep),
                      ", ".join(f"{r}: {c}" for r, c in sorted(first.items())))
-        if len(set(label[keep])) < 2:
+        if len(set(wins.label[keep])) < 2:
             raise DataError(
                 f"subject {trace.subject_id} has no usable windows in both classes")
         subjects += [trace.subject_id] * np.count_nonzero(keep)
-        labels.append(label[keep])
-        starts.append(start[keep])
+        labels.append(wins.label[keep])
+        starts.append(wins.start_s[keep])
         rows.append(X[keep])
     return FeatureMatrix(tuple(subjects), np.concatenate(labels),
                          np.concatenate(starts), np.vstack(rows), hrv.FEATURE_NAMES)

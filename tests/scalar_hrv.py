@@ -150,16 +150,16 @@ def all_features(rr: pulse.RrSeries, window_span_s: float) -> hrv.WindowFeatures
 
 
 def window_outcomes(rr: pulse.RrSeries, windows, window_span_s: float):
-    """(features or None, drop reason or "") for each window, one at a time.
+    """(features or None, drop reason or "") for each window of a `segment`
+    record array, one at a time.
 
     The drop reason is "data_error" for a refused window, else the window's
     first flag.
     """
     out = []
-    for win in windows:
+    for start, end in zip(windows.start_s, windows.end_s):
         try:
-            feats = all_features(slice_window(rr, win.start_s, win.end_s),
-                                 window_span_s)
+            feats = all_features(slice_window(rr, start, end), window_span_s)
         except DataError:
             out.append((None, "data_error"))
             continue

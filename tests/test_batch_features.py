@@ -51,12 +51,12 @@ def scalar_rows(ds, spec, prepared):
     rows, starts, reasons = [], [], []
     for trace in ds:
         wins = windows.segment(trace, spec)
-        for win, (feats, reason) in zip(wins, scalar_hrv.window_outcomes(
+        for start, (feats, reason) in zip(wins.start_s, scalar_hrv.window_outcomes(
                 prepared[trace.subject_id], wins, spec.size_s)):
             reasons.append(reason)
             if not reason:
                 rows.append([feats.values[n] for n in hrv.FEATURE_NAMES])
-                starts.append(win.start_s)
+                starts.append(start)
     return np.array(rows), np.array(starts), reasons
 
 
@@ -120,11 +120,7 @@ def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers):
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)
     wins = windows.segment(ds.traces[0], spec)
-    start = np.array([w.start_s for w in wins])
-    end = np.array([w.end_s for w in wins])
-    lo, hi = pulse.window_bounds(rr.rr_times_s, start, end)
-    rej_lo, rej_hi = pulse.window_bounds(rr.rejected_times_s, start, end)
-    X, reasons = hrv.window_features(rr, lo, hi, rej_hi - rej_lo, powers)
+    X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s, powers)
 
     outcomes = scalar_hrv.window_outcomes(rr, wins, size)
     refused = np.array([feats is None for feats, _ in outcomes])
@@ -291,7 +287,6 @@ def test_one_window_functions_are_the_batch_first_row():
     rr = degraded_rr()
     sl = pulse.slice_window(rr, 10.0, 90.0)
     feats = hrv.all_features(sl, 80.0)
-    lo, hi = pulse.window_bounds(rr.rr_times_s, [10.0], [90.0])
-    X, reasons = hrv.window_features(rr, lo, hi, [sl.n_rejected])
+    X, reasons = hrv.window_features(rr, [10.0], [90.0])
     assert [list(feats.values.values())] == X.tolist()
     assert feats.flags == () and not reasons.any()

@@ -158,9 +158,10 @@ def test_bad_k_refused_before_data_work(cohort16, monkeypatch, entry, k):
 
 @pytest.mark.parametrize("entry, kwargs, match", [
     (evaluate.sweep_windows, {"sizes": (60.0, math.nan)}, "^window size must be"),
+    (evaluate.sweep_windows, {"sizes": []}, r"^sizes names no window size: \[\]$"),
     (evaluate.sweep_windows, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
     (evaluate.loso, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
-], ids=["sweep-nan-size", "sweep-model", "loso-model"])
+], ids=["sweep-nan-size", "sweep-no-size", "sweep-model", "loso-model"])
 def test_bad_arguments_refused_before_data_work(cohort16, monkeypatch, entry,
                                                  kwargs, match):
     def no_work(*args, **kwargs):

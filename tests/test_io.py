@@ -99,6 +99,14 @@ class TestSynthPpg:
         with pytest.raises(ValidationError):
             io.synth_ppg([100.0] * 10, 100.0)
 
+    @pytest.mark.parametrize("at", [0, 5, 9], ids=["first", "middle", "last"])
+    def test_nan_rr_refused(self, at):
+        plan = [800.0] * 10
+        plan[at] = math.nan
+        with pytest.raises(ValidationError,
+                           match=r"^rr_plan values must lie in \[300, 2000\] ms$"):
+            io.synth_ppg(plan, 100.0)
+
 
 def _beat_times(plan: str, n_beats: int = 120) -> np.ndarray:
     if plan == "rr300":  # the shortest interval a plan may hold

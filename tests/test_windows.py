@@ -1,8 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_bit_equal
 from ppgstress import io, windows
 from ppgstress.errors import DataError, ValidationError
 
@@ -48,7 +52,7 @@ class TestSegment:
     def test_short_span_yields_nothing(self):
         spans = (io.ConditionSpan(0, 70, io.Condition.RELAXING),)
         trace = io.PpgTrace("s1", 100.0, np.zeros(7000), spans)
-        assert windows.segment(trace, windows.WindowSpec(80.0, 5.0)) == []
+        assert len(windows.segment(trace, windows.WindowSpec(80.0, 5.0))) == 0
 
     def test_starts_do_not_drift(self):
         spans = (io.ConditionSpan(0.0, 1500.0, io.Condition.RELAXING),
@@ -66,6 +70,78 @@ class TestSegment:
             span = trace.annotations[w.label]
             assert w.start_s >= span.start_s - 1e-9
             assert w.end_s <= span.end_s + 1e-9
+
+
+def loop_segment(trace, spec):
+    """The per-window loop `segment` replaced, as its oracle: start, end and
+    label arrays, each start computed afresh from its index."""
+    starts, ends, labels = [], [], []
+    for span in trace.annotations:
+        i = 0
+        while ((start := span.start_s + i * spec.step_s) + spec.size_s
+               <= span.end_s + 1e-9):
+            starts.append(start)
+            ends.append(start + spec.size_s)
+            labels.append(span.condition.value)
+            i += 1
+    return (np.array(starts, dtype=float), np.array(ends, dtype=float),
+            np.array(labels, dtype=int))
+
+
+@st.composite
+def traces_and_specs(draw):
+    """A trace of 0-3 spans and a window spec. A span's length is random,
+    shorter than the window, or the window plus j steps, landing exactly on
+    the loop's last end or within a few 1e-9 of it on either side."""
+    size = draw(st.floats(60.0, 300.0))
+    step = draw(st.sampled_from([5.0, 0.1 * size, size]) | st.floats(0.5, size))
+    spans, t = [], draw(st.floats(0.0, 100.0))
+    for _ in range(draw(st.integers(0, 3))):
+        start = t + draw(st.floats(0.0, 50.0))
+        kind = draw(st.sampled_from(["random", "short", "exact", "tolerance"]))
+        if kind == "random":
+            end = start + draw(st.floats(1.0, 1500.0))
+        elif kind == "short":
+            end = start + draw(st.floats(1e-3, size, exclude_max=True))
+        else:
+            end = (start + draw(st.integers(0, 20)) * step) + size
+            if kind == "tolerance":
+                end += draw(st.sampled_from([-2e-9, -1e-9, -5e-10, 5e-10, 2e-9])
+                            | st.floats(-3e-9, 3e-9))
+        condition = draw(st.sampled_from(list(io.Condition)))
+        spans.append(io.ConditionSpan(start, end, condition))
+        t = end
+    fs = 25.0
+    trace = io.PpgTrace("s1", fs, np.zeros(math.ceil(t * fs) + 1), tuple(spans))
+    return trace, windows.WindowSpec(size, step)
+
+
+class TestSegmentOracle:
+    @given(traces_and_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_loop(self, case):
+        trace, spec = case
+        wins = windows.segment(trace, spec)
+        starts, ends, labels = loop_segment(trace, spec)
+        assert len(wins) == starts.size
+        assert_bit_equal(wins.start_s, starts)
+        assert_bit_equal(wins.end_s, ends)
+        assert_bit_equal(wins.label, labels)
+
+    @pytest.mark.parametrize("end", [260.0, 260.0 + 1e-9, 260.0 - 1e-9,
+                                     260.0 - 2e-9, 259.0, None],
+                             ids=["on-end", "past-end", "in-tolerance",
+                                  "past-tolerance", "step-short", "no-spans"])
+    def test_edge_spans_match_loop(self, end):
+        spans = (() if end is None
+                 else (io.ConditionSpan(100.0, end, io.Condition.STRESSFUL),))
+        trace = io.PpgTrace("s1", 25.0, np.zeros(300 * 25), spans)
+        spec = windows.WindowSpec(80.0, 5.0)
+        starts, ends, labels = loop_segment(trace, spec)
+        wins = windows.segment(trace, spec)
+        assert_bit_equal(wins.start_s, starts)
+        assert_bit_equal(wins.end_s, ends)
+        assert_bit_equal(wins.label, labels)
 
 
 class TestBuildMatrix:
@@ -87,6 +163,14 @@ class TestBuildMatrix:
     def test_flat_signal_surfaces_subject(self):
         ds = io.Dataset((make_trace(840),))
         with pytest.raises(DataError, match="s1"):
+            windows.build_matrix(ds, windows.WindowSpec(80.0, 5.0))
+
+    def test_trace_without_spans_is_refused(self, cohort16):
+        # No windows at all reach the class check, not a numpy error.
+        trace = cohort16.traces[0]
+        ds = io.Dataset((io.PpgTrace(trace.subject_id, trace.fs, trace.samples),))
+        with pytest.raises(DataError, match=f"^subject {trace.subject_id} has no "
+                                            "usable windows in both classes$"):
             windows.build_matrix(ds, windows.WindowSpec(80.0, 5.0))
 
     @pytest.mark.parametrize("n, shown", [
