@@ -25,8 +25,10 @@ from .errors import DataError, ValidationError
 # Samples per block of the state-space filter.
 BLOCK = 32
 # Multiply-adds per GEMM of this filter and of the KNN filter
-# (models.KnnModel.predict_proba): few enough that OpenBLAS, at its default
-# threshold, runs each on one thread.
+# (models.KnnModel.predict_proba, whose GEMMs each take KNN_CHUNK_ROWS test
+# rows against a block of rows of the operand that all folds share, and whose
+# per-fold norms are one GEMV per such block): few enough that OpenBLAS, at
+# its default threshold, runs each on one thread.
 GEMM_MACS = 2 ** 18
 
 

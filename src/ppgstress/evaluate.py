@@ -70,10 +70,7 @@ class FoldStats:
 
     def zscored(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Rows of X, restricted to the fold's columns and z-scored."""
-        Z = X[rows][:, self.cols].astype(float, copy=False)  # faster than np.ix_
-        Z -= self.mean
-        Z /= self.std
-        return Z
+        return models.zscore(X, rows, self.cols, self.mean, self.std)
 
     def lda(self) -> models.LdaModel:
         """LDA on the z-scored training rows, from their class moments."""
@@ -86,19 +83,21 @@ class FoldStats:
 def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
     """Every held-out subject's fold, in subject order.
 
-    The moments of each (subject, class) group of rows are taken once; a
-    fold's class moments merge those of every other subject
-    (`moments.leave_one_out`). Its ANOVA-F ranking, top-k selection and
-    scaler, zero-variance columns dropped, come from them by `windows.select`.
+    The moments of each (subject, class) group of rows come from one sort
+    (`moments.by_group`); a fold's class moments merge those of every other
+    subject, all folds in one batched scan (`moments.leave_one_out`). Their
+    ANOVA-F rankings, top-k selections and scalers, zero-variance columns
+    dropped, are computed for all folds at once by `windows.select`.
     """
     models._check_two_classes(matrix.labels)
-    groups = moments.stack([moments.by_class(matrix.X[matrix.codes == code],
-                                             matrix.labels[matrix.codes == code])
-                            for code in range(len(matrix.subject_ids))])
-    return [FoldStats(np.flatnonzero(matrix.codes != code),
-                      np.flatnonzero(matrix.codes == code),
-                      *select(classes, k, matrix.columns), classes)
-            for code, classes in enumerate(moments.leave_one_out(groups))]
+    n_subjects, codes = len(matrix.subject_ids), matrix.codes
+    groups = moments.by_group(matrix.X, 2 * codes + matrix.labels.astype(np.intp),
+                              2 * n_subjects)
+    groups = moments.Moments(*(f.reshape(n_subjects, 2, *f.shape[1:]) for f in groups))
+    classes = moments.Moments(*(f.swapaxes(0, 1) for f in moments.leave_one_out(groups)))
+    return [FoldStats(np.flatnonzero(codes != code), np.flatnonzero(codes == code),
+                      *picked, classes[:, code])
+            for code, picked in enumerate(select(classes, k, matrix.columns))]
 
 
 def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",
@@ -110,10 +109,11 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     means and centred cross-products of each (subject, class) group are
     taken once, and each fold's class moments are the Chan merges of every
     other subject's (`fold_stats`). The fold's ANOVA-F ranking, scaler and,
-    for LDA, class means and pooled covariance follow from them. KNN gets
-    its z-scored training rows in one gather; SGD fits all folds at once
-    (`models.sgd_logistic_fit`). Every fold is predicted through its
-    model's `predict_proba`.
+    for LDA, class means and pooled covariance follow from them. KNN and SGD
+    fit all folds at once (`models.knn_fit`, `models.sgd_logistic_fit`); KNN
+    filters every fold against one centred copy of the matrix and z-scores
+    only the training rows its filter leaves undecided. Every fold is
+    predicted through its model's `predict_proba`, on its z-scored test rows.
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
@@ -121,14 +121,13 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     check_seed(seed)  # echoed into the report, whatever the model
     folds = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
+    specs = [(fold.train, fold.cols, fold.mean, fold.std) for fold in folds]
     if model_kind == "sgd":
-        specs = [(fold.train, fold.cols, fold.mean, fold.std) for fold in folds]
         fitted = models.sgd_logistic_fit(X, y, specs, seed).models
     elif model_kind == "lda":
         fitted = (fold.lda() for fold in folds)
     else:
-        fitted = (models.knn_fit(fold.zscored(X, fold.train), y[fold.train])
-                  for fold in folds)
+        fitted = models.knn_fit(X, y, specs)
     results = []
     pooled_correct = 0
     for sid, fold, model in zip(matrix.subject_ids, folds, fitted):

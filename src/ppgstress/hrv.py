@@ -116,6 +116,7 @@ def window_features(rr: RrSeries, start_s, end_s,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Catalog rows of the windows [start_s[i], end_s[i]) of one RR series; a
     window holds the intervals whose terminating peak lies in it (`window_bounds`).
+    Scalar times are one window.
 
     Returns `(X, reasons)`: X has a row per window in FEATURE_NAMES order
     (NaN where refused), and `reasons[i, j]` is whether DROP_REASONS[j]
@@ -126,6 +127,7 @@ def window_features(rr: RrSeries, start_s, end_s,
     share with later calls; a fresh one by default.
     """
     powers = SegmentPowers() if powers is None else powers
+    start_s, end_s = np.atleast_1d(start_s, end_s)
     (lo, hi), (j0, j1) = (window_bounds(times, start_s, end_s)
                           for times in (rr.rr_times_s, rr.rejected_times_s))
     n, n_rejected = hi - lo, j1 - j0

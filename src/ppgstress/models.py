@@ -4,7 +4,8 @@ Each fitted model exposes a stress-membership probability; the rounded
 probability doubles as a 0.0-1.0 stress level for adaptive consumers.
 SGD has one fit, `sgd_logistic_fit(X, y, folds, seed)`, which steps every
 fold of a LOSO run together and returns their models as an `SgdFolds`; a
-single fit is its one-fold case.
+single fit is its one-fold case. KNN likewise has one fit,
+`knn_fit(X, y, folds, k)`, whose fold models share one filter operand.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +27,8 @@ SGD_DECAY = 1e-4
 SGD_L2 = 1e-4  # weight of the L2 penalty
 SGD_EPOCHS = 50  # passes over each fold's rows
 SGD_BLOCK = 64  # SGD steps whose rows are gathered and scaled at once
-KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n_train) block
-_KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |t|^2 + |x|^2 may overflow
+KNN_CHUNK_ROWS = 64  # test rows per filter matmul, a (rows, n) block over every operand row
+_KNN_SCALE_CAP = np.finfo(float).max / 16  # larger |v|^2 + |c|^2 may overflow
 
 
 def _sigmoid(x):
@@ -39,7 +41,9 @@ def _sigmoid(x):
 
 def _check_two_classes(y: np.ndarray):
     # Not np.unique: its first call imports numpy.ma, about 1 MB that stays.
-    if set(np.ravel(y).tolist()) != {0, 1}:
+    y = np.ravel(y)
+    zero, one = y == 0, y == 1
+    if not (zero.any() and one.any() and np.all(zero | one)):
         raise DataError(f"need both classes present, got labels {np.unique(y)}")
 
 
@@ -83,73 +87,157 @@ def lda_from_moments(n, means, scatter) -> LdaModel:
     return LdaModel(w, b)
 
 
+def zscore(X, rows, cols, mean, std) -> np.ndarray:
+    """`(X[rows][:, cols] - mean) / std`, a fold's z-scored rows."""
+    Z = X[rows][:, cols].astype(float, copy=False)  # faster than np.ix_
+    Z -= mean
+    Z /= std
+    return Z
+
+
+def _whole(X):
+    """The fold of every row and column of X, unscaled."""
+    n, d = np.shape(X)
+    return np.arange(n), np.arange(d), np.zeros(d), np.ones(d)
+
+
+class KnnOperand(NamedTuple):
+    """The filter operand that the folds of one KNN fit share."""
+    mean: np.ndarray  # (D,) column means of every row of X
+    W: np.ndarray     # (n, D + 1): X - mean, then the predicting fold's norms
+    sq: np.ndarray    # (n, D): (X - mean) ** 2
+
+
+def knn_operand(X) -> KnnOperand:
+    """X centred once on its column means, for the filters of every fold."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    W = np.empty((n, d + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0) if n else np.zeros(d)
+        np.subtract(X, mean, out=W[:, :d])
+        return KnnOperand(mean, W, W[:, :d] ** 2)
+
+
 @dataclass(frozen=True)
 class KnnModel:
+    """The k-nearest-neighbour model of one fold: it trains on the rows `rows`
+    of X (a set; ties are broken by row order in X), restricted to the columns
+    `cols` and z-scored by `mean` and `std`, where `fold` is
+    `(rows, cols, mean, std)`. Without a fold it trains on every row and column
+    of X as they are. The folds of one `knn_fit` share X, y and `operand`."""
     X: np.ndarray
     y: np.ndarray
     k: int = 5
+    fold: tuple | None = None
+    operand: KnnOperand | None = None
+
+    def __post_init__(self):
+        if self.fold is None:
+            object.__setattr__(self, "fold", _whole(self.X))
+        if self.operand is None:
+            object.__setattr__(self, "operand", knn_operand(self.X))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Fraction of stress labels among the k nearest training rows.
+        """Fraction of stress labels among the k nearest training rows of the
+        test rows X, which are z-scored like the fold's training rows.
 
         The k nearest are the k smallest squared distances
-        E_j = `np.sum((t - x_j) ** 2)`, ties broken by training-row order and
+        E_j = `np.sum((t - z_j) ** 2)` from a test row t to the z-scored
+        training rows z_j = (x_j - mean) / std, ties broken by row order and
         nan last. A BLAS filter bounds them, and distances are computed exactly
         only where the filter cannot decide, so the result is exact.
 
-        Filter: for KNN_CHUNK_ROWS test rows at a time, [T, 1] times
-        [-2X, |x|^2]^T gives a_j = |x_j|^2 - 2 t.x_j, the distance less |t|^2,
-        which is the same for every j and so is left out. The product is one
-        batched matmul over blocks of training rows, each a GEMM of at most
-        dsp.GEMM_MACS multiply-adds, which OpenBLAS (at its default threshold)
-        runs on one thread. A threaded GEMM this short waits on its slowest
-        thread: with another process busy on one of two CPUs, threaded
-        filters took twice as long. The minima of k+1 disjoint column blocks
-        are values of k+1 different rows, so their largest is at least the
-        (k+1)-th smallest a_j; the rows at or below it are sorted by a_j.
-        (With k = n every block is one row.)
+        Filter: let mu be the column means of every row of X, the operand's
+        centre, s the fold's std, w = 1/s^2 on the fold's columns and 0 on the
+        others, d = (mean - mu)/s and |y|^2_w = sum_i w_i y_i^2. With
+        c_j = (x_j - mu)/s and the test row recentred on mu, v = t + d, it is
+        v - c_j = t - (x_j - mean)/s, so the exact distance is |v - c_j|^2.
+        For KNN_CHUNK_ROWS test rows at a time, [-2 v/s, 1] times the operand
+        [x_j - mu, |x_j - mu|^2_w]^T gives a_j = |c_j|^2 - 2 v.c_j, the
+        distance less |v|^2, which is the same for every j and so is left
+        out. The operand's first D columns are centred once for every fold;
+        each fold writes its own norms |x_j - mu|^2_w, the product of
+        (x_j - mu)^2 and w, into its last column before filtering, so the folds
+        of one fit are predicted one at a time. The product is one batched
+        matmul over blocks of rows, each a GEMM of at most dsp.GEMM_MACS
+        multiply-adds, which OpenBLAS (at its default threshold) runs on one
+        thread; the norms are one GEMV per block, smaller still. A threaded
+        GEMM this short waits on its slowest thread: with another process
+        busy on one of two CPUs, threaded filters took twice as long. The
+        test rows are laid out column-major, for which these GEMMs ran about
+        1.6 times faster than on row-major chunks. The rows outside the fold
+        get a_j = +inf. The minima of k+1
+        disjoint column blocks are values of k+1 different rows, so their
+        largest is at least the (k+1)-th smallest training a_j, or +inf; the
+        rows at or below it are sorted by a_j.
 
         Bound: with u = eps/2, an m-term dot product is off by at most
         gamma_m = m u / (1 - m u) times the sum of its terms' magnitudes, in
-        any summation order. a_j has d+1 terms and |x_j|^2 has d, and
-        2 sum_i |t_i x_ji| <= |t|^2 + |x_j|^2, so a_j + |t|^2 is within
-        3 gamma_(d+1) (1 + gamma_d) (|t|^2 + |x_j|^2) of the true distance D_j.
-        E_j rounds a difference and a square per term and sums d non-negative
-        terms, and D_j <= 2 (|t|^2 + |x_j|^2), so E_j is within
-        2 gamma_(d+2) (|t|^2 + |x_j|^2) of D_j. Together that is about
-        (2.5 d + 3.5) eps (|t|^2 + |x_j|^2), and the slack
-            S = 4 (d + 2) eps (|t|^2 + max_j |x_j|^2) + d tiny
+        any summation order, and 2 sum_i |p_i q_i| <= |p|^2 + |q|^2. D is the
+        operand's width, and the fold's columns are at most D.
+        - Centring and weighting: x_j - mu, its square, 1/s, w and their
+          products round, so the operand's norm is within gamma_(D+5) |c_j|^2
+          of |c_j|^2; v and -2 v/s carry the rounding of d, of the sum and of
+          the factor, at most u |v_i| + gamma_2 |d_i| per column. Together with
+          the centring of x_j these move a_j by about
+          u (4 |v|^2 + 6 |c_j|^2 + 2 |d|^2), and the GEMM, D+1 terms, by
+          gamma_(D+1) (|v|^2 + 2 |c_j|^2).
+        - E_j measures the rounded z_j, two roundings per column from the
+          exact (x_j - mean)/s, which moves the distance by at most
+          2u (|t|^2 + 3 |z_j|^2), and E_j itself rounds a difference and a
+          square per term and sums them, within 2 gamma_(D+2) (|t|^2 + |z_j|^2).
+        With |t|^2 <= 2 |v|^2 + 2 |d|^2 and |z_j|^2 <= 2 |c_j|^2 + 2 |d|^2,
+        a_j + |v|^2 is within about (4 D + 17) eps (|v|^2 + |c_j|^2 + |d|^2) of
+        E_j. The term |d|^2 = |mean - mu|^2_w is the fold's mean's distance
+        from the operand's centre. The slack
+            S = 8 (D + 5) eps (|v|^2 + max_j |x_j - mu|^2_w + |d|^2) + D tiny
         exceeds it with room for the rounding of S and of the threshold;
         `tiny`, the smallest normal float, covers products that underflow.
-        Where |t|^2 + max_j |x_j|^2 is above max/16 or is not finite (overflow,
-        nan, inf), S is inf and every row is measured exactly.
+        Where that scale is above max/16 or is not finite (overflow, nan, inf),
+        or some 1/s is below `tiny` (w loses its precision), S is inf and
+        every row is measured exactly.
 
-        Selection: let a_(k) be the k-th smallest a_j. The k rows with
-        a_j <= a_(k) have E_j <= a_(k) + |t|^2 + S, so the k-th smallest E_j
+        Selection: let a_(k) be the k-th smallest training a_j. The k rows with
+        a_j <= a_(k) have E_j <= a_(k) + |v|^2 + S, so the k-th smallest E_j
         is no larger, and every row the exact rule can select has
         a_j <= a_(k) + 2S. If the (k+1)-th smallest a_j is above that, the k
-        filter rows are the k nearest. Otherwise every row within it, nan
-        included, is measured exactly and sorted stably by distance.
+        filter rows are the k nearest; their a_j are then finite, so none is
+        outside the fold. Otherwise every training row within it, nan
+        included, is z-scored, measured exactly and sorted stably by distance.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, d = self.X.shape
-        if X.ndim != 2 or X.shape[1] != d:
-            raise ValidationError(f"test rows need {d} columns, got shape {X.shape}")
-        k, f64 = self.k, np.finfo(float)
-        near = min(k + 1, n)  # smallest a_j kept per row: the k, and one to check
-        with np.errstate(over="ignore", invalid="ignore"):
-            xx = np.sum(self.X ** 2, axis=1)
-            W = np.empty((n, d + 1))  # [-2X, |x|^2], filled in place: np.c_ copies slowly
-            np.multiply(self.X, -2.0, out=W[:, :d])
-            W[:, d] = xx
-            scale = np.sum(X ** 2, axis=1) + xx.max()
-            slack = 4 * (d + 2) * f64.eps * scale + d * f64.tiny
-            slack[~(scale <= _KNN_SCALE_CAP)] = np.inf
-        T = np.c_[X, np.ones(len(X))]
-        per_gemm = max(1, dsp.GEMM_MACS // (KNN_CHUNK_ROWS * (d + 1)))  # training rows
+        rows, cols, mean, std = self.fold
+        mu, W, sq = self.operand
+        n, D = sq.shape
+        if X.ndim != 2 or X.shape[1] != len(cols):
+            raise ValidationError(f"test rows need {len(cols)} columns, got shape {X.shape}")
+        train = np.zeros(n, dtype=bool)
+        train[rows] = True
+        held = np.flatnonzero(~train)
+        k, n_train, f64 = self.k, n - len(held), np.finfo(float)
+        near = min(k + 1, n_train)  # smallest a_j kept per row: the k, and one to check
+        per_gemm = max(1, dsp.GEMM_MACS // (KNN_CHUNK_ROWS * (D + 1)))  # operand rows
         gemms = n // per_gemm
         split = gemms * per_gemm  # rows from here on make one last, smaller GEMM
-        blocked = W[:split].reshape(gemms, per_gemm, d + 1).transpose(0, 2, 1)
+        blocked = W[:split].reshape(gemms, per_gemm, D + 1).transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inv = 1.0 / std
+            w = np.zeros(D)
+            w[cols] = inv ** 2
+            q = np.empty(n)  # the fold's norms, a GEMV per block of rows: one thread
+            np.matmul(sq[:split].reshape(gemms, per_gemm, D), w,
+                      out=q[:split].reshape(gemms, per_gemm))
+            np.matmul(sq[split:], w, out=q[split:])
+            W[:, D] = q
+            shift = (mean - mu[cols]) * inv
+            V = X + shift
+            T = np.zeros((len(X), D + 1), order="F")
+            T[:, cols] = V * (-2.0 * inv)
+            T[:, D] = 1.0
+            scale = np.sum(V ** 2, axis=1) + np.max(q) + np.sum(shift ** 2)
+            slack = 8 * (D + 5) * f64.eps * scale + D * f64.tiny
+            slack[~(scale <= _KNN_SCALE_CAP) | ~np.all(np.abs(inv) >= f64.tiny)] = np.inf
         buf = np.empty((min(len(X), KNN_CHUNK_ROWS), n))  # reused: fresh blocks page-fault
         idx = np.empty((len(X), k), dtype=np.intp)
         for lo in range(0, len(X), KNN_CHUNK_ROWS):
@@ -159,6 +247,7 @@ class KnnModel:
                 np.matmul(t, blocked, out=a[:, :split].reshape(
                     len(t), gemms, per_gemm).transpose(1, 0, 2))
                 np.matmul(t, W[split:].T, out=a[:, split:])
+                a[:, held] = np.inf
                 blocks = a[:, :n // near * near].reshape(len(t), near, -1)
                 top = blocks.min(axis=2).max(axis=1)
                 flat = np.flatnonzero(~(a > top[:, None]))
@@ -169,21 +258,36 @@ class KnnModel:
                 vals = a.ravel()[flat[pos]]
                 idx[lo:lo + len(t)] = col[pos[:, :k]]
                 thr = vals[:, k - 1] + 2 * slack[lo:lo + len(t)]
-                undecided = ~(vals[:, k] > thr) if k < n else []
+                undecided = ~(vals[:, k] > thr) if k < n_train else ~(thr < np.inf)
             for i in np.flatnonzero(undecided):
-                c = np.flatnonzero(~(a[i] > thr[i]))
-                d2 = np.sum((X[lo + i] - self.X[c]) ** 2, axis=1)
+                c = np.flatnonzero(~(a[i] > thr[i]) & train)
+                d2 = np.sum((X[lo + i] - zscore(self.X, c, cols, mean, std)) ** 2, axis=1)
                 idx[lo + i] = c[np.argsort(d2, kind="stable")[:k]]
         return self.y[idx].mean(axis=1)
 
 
-def knn_fit(X, y, k: int = 5) -> KnnModel:
+def knn_fit(X, y, folds=None, k: int = 5):
+    """The k-nearest-neighbour models of the folds of X, in fold order, which
+    share one centred copy of X as their filter operand (`KnnModel`).
+
+    `folds` is a sequence of `(rows, cols, mean, std)`, as for
+    `sgd_logistic_fit`: fold f trains on `(X[rows][:, cols] - mean) / std`
+    with labels `y[rows]`. Without folds, the fit is the single one on every
+    row and column of X as they are, the one fold `(all rows, all columns,
+    zeros, ones)`, and its model is returned alone.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    _check_two_classes(y)
-    if not is_whole(k) or k < 1 or k > len(y):
-        raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
-    return KnnModel(X, y, k)
+    specs = [_whole(X)] if folds is None else folds
+    for rows, *_ in specs:
+        _check_two_classes(y[rows])
+        train = np.zeros(len(y), dtype=bool)
+        train[rows] = True
+        if not is_whole(k) or k < 1 or k > np.count_nonzero(train):
+            raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
+    operand = knn_operand(X)
+    fitted = tuple(KnnModel(X, y, k, spec, operand) for spec in specs)
+    return fitted[0] if folds is None else fitted
 
 
 @dataclass(frozen=True)

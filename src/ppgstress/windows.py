@@ -166,7 +166,9 @@ class SelectionReport:
 
 
 def f_scores(classes: moments.Moments) -> np.ndarray:
-    """One-way two-group ANOVA F per column, from the two classes' moments.
+    """One-way two-group ANOVA F per column, from the two classes' moments
+    (stacked along the first axis; the axes after it, if any, stack sets of
+    rows, each scored on its own).
 
     MSB = n0 n1 / n (mean1 - mean0)^2 (df = 1) and MSW = (ss0 + ss1) / (n - 2).
     A column constant over all rows gets 0; one constant within each class
@@ -174,7 +176,7 @@ def f_scores(classes: moments.Moments) -> np.ndarray:
     """
     if np.any(classes.n < 2):
         raise DataError("ANOVA needs >= 2 rows in each class")
-    (n0, n1), (m0, m1) = classes.n, classes.mean
+    (n0, n1), (m0, m1) = classes.n[..., None], classes.mean
     n = n0 + n1
     msb = n0 * n1 / n * (m1 - m0) ** 2
     msw = classes.ss.sum(axis=0) / (n - 2)
@@ -185,7 +187,8 @@ def f_scores(classes: moments.Moments) -> np.ndarray:
 
 
 def rank(f: np.ndarray) -> np.ndarray:
-    """Column indices by descending F; bit-equal F keep catalog order, nan last.
+    """Column indices by descending F (along the last axis); bit-equal F keep
+    catalog order, nan last.
 
     LFn + HFn = 1, so their F values are equal in exact arithmetic, but
     rounding may put either first.
@@ -194,9 +197,10 @@ def rank(f: np.ndarray) -> np.ndarray:
 
 
 def top_k(ranked, k: int):
-    """The first k of a ranking (k clipped to its length)."""
+    """The first k of a ranking, or of each in an array of them along its last
+    axis (k clipped to its length)."""
     check_k(k)
-    return ranked[:k]
+    return ranked[..., :k] if isinstance(ranked, np.ndarray) else ranked[:k]
 
 
 def anova_f(m: FeatureMatrix) -> SelectionReport:
@@ -212,10 +216,10 @@ def select_top_k(m: FeatureMatrix, report: SelectionReport, k: int) -> FeatureMa
 
 
 def scaling(total: moments.Moments) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and standard deviations (ddof = 1) from a group's moments;
-    the std of a constant column, or of a single row, is exactly 0."""
-    std = np.sqrt(total.ss / (total.n - 1)) if total.n > 1 else np.zeros_like(total.ss)
-    return total.mean, std
+    """Column means and standard deviations (ddof = 1) from a group's moments,
+    or a stack of them; the std of a constant column, or of a single row, is
+    exactly 0, as their sums of squares are."""
+    return total.mean, np.sqrt(total.ss / np.maximum(total.n - 1, 1)[..., None])
 
 
 def _varying(std: np.ndarray, names) -> np.ndarray:
@@ -230,14 +234,21 @@ def _varying(std: np.ndarray, names) -> np.ndarray:
     return keep
 
 
-def select(classes: moments.Moments, k: int, columns: tuple[str, ...]) -> tuple:
-    """From a set of training rows' class moments: F of every column, the top-k
-    columns by F less zero-variance ones, and their mean and std (ddof = 1)."""
+def select(classes: moments.Moments, k: int, columns: tuple[str, ...]) -> list[tuple]:
+    """From the class moments of one set of training rows, or of a stack of
+    them along the second axis (`f_scores`): for each set, F of every column,
+    the top-k columns by F less zero-variance ones, and their mean and std
+    (ddof = 1). F, ranking and scaling are computed for all sets at once."""
     f = f_scores(classes)
     top = top_k(rank(f), k)
     mean, std = scaling(moments.merge(classes[0], classes[1]))
-    cols = top[_varying(std[top], [columns[i] for i in top])]
-    return f, cols, mean[cols], std[cols]
+    mean, std = (np.take_along_axis(a, top, axis=-1) for a in (mean, std))
+    names = np.array(columns)
+    picked = []
+    for f_s, t, m, s in zip(*(a.reshape(-1, a.shape[-1]) for a in (f, top, mean, std))):
+        keep = _varying(s, names[t])
+        picked.append((f_s, t[keep], m[keep], s[keep]))
+    return picked
 
 
 def standardize(train: FeatureMatrix, apply: FeatureMatrix | None = None

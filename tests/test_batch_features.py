@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_hrv
+from conftest import assert_bit_equal
 from ppgstress import evaluate, hrv, io, pulse, windows
 
 REL = 1e-9
@@ -290,3 +291,13 @@ def test_one_window_functions_are_the_batch_first_row():
     X, reasons = hrv.window_features(rr, [10.0], [90.0])
     assert [list(feats.values.values())] == X.tolist()
     assert feats.flags == () and not reasons.any()
+
+
+def test_scalar_window_times_are_one_window():
+    # Scalar times made 0-d bounds, and the batch loop failed on them with
+    # an IndexError.
+    rr = degraded_rr()
+    X, reasons = hrv.window_features(rr, 10.0, 90.0)
+    want_X, want_reasons = hrv.window_features(rr, [10.0], [90.0])
+    assert_bit_equal(X, want_X)
+    assert_bit_equal(reasons, want_reasons)

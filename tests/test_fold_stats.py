@@ -10,13 +10,19 @@ TOL of its std, and the predicted labels exactly. Measured on 16- and
 2.7e-12, the mean within 3.4e-14 std, the std within 2.3e-14 and the
 decision values within 5.5e-12.
 Columns whose F values lie within TOL of each other may rank either way.
+
+The batched class moments are also checked against the sequential
+prefix/suffix merge scan of `tests/scalar_moments.py`, on interleaved
+subject rows as well.
 """
 
 import numpy as np
 import pytest
 
 import scalar_folds
+import scalar_moments
 from ppgstress import evaluate, models, windows
+from ppgstress.errors import DataError
 
 TOL = 1e-10
 
@@ -98,3 +104,81 @@ def test_report_matches_reference_accuracies(matrix16):
     for fold, ref in zip(rep.folds, scalar_folds.fold_splits(matrix16, 35)):
         want = scalar_folds.lda_fit(ref.train_X, ref.train_y).predict_proba(ref.test_X)
         assert fold.accuracy == evaluate.metrics(ref.test_y, want >= 0.5)[0]
+
+
+def shuffled(matrix, seed=0):
+    """The same rows in a random order, so every subject's rows interleave,
+    and the permutation: row i of the result is row perm[i] of matrix."""
+    perm = np.random.default_rng(seed).permutation(matrix.n_rows)
+    return windows.FeatureMatrix(tuple(np.array(matrix.subjects)[perm]),
+                                 matrix.labels[perm], matrix.starts[perm],
+                                 matrix.X[perm], matrix.columns), perm
+
+
+def within(got, want, scale):
+    """Equal, or within TOL of scale (inf and 0 must match exactly)."""
+    return np.all((got == want) | (np.abs(got - want) <= TOL * scale))
+
+
+def assert_same_fold(fold, f, cols, mean, std):
+    assert within(fold.f, f, f)
+    assert sorted(fold.cols) == sorted(cols)
+    at = [list(cols).index(c) for c in fold.cols]
+    assert within(fold.mean, mean[at], std[at])
+    assert within(fold.std, std[at], std[at])
+
+
+def assert_matches_sequential_scan(m, k=35):
+    folds, refs = evaluate.fold_stats(m, k), scalar_moments.fold_stats(m, k)
+    assert len(folds) == len(refs) == len(m.subject_ids)
+    for fold, (classes, *ref) in zip(folds, refs):
+        for name in ("n", "lo", "hi"):
+            np.testing.assert_array_equal(getattr(fold.classes, name), getattr(classes, name))
+        assert within(fold.classes.mean, classes.mean, np.abs(classes.mean).max())
+        assert within(fold.classes.ss, classes.ss, classes.ss)
+        assert within(fold.classes.cross, classes.cross, np.abs(classes.cross).max())
+        assert_same_fold(fold, *ref)
+
+
+def two_subjects(m):
+    return m.take(m.codes < 2)
+
+
+@pytest.mark.parametrize("make", [lambda m: m, uneven, two_subjects,
+                                  lambda m: shuffled(m)[0], lambda m: shuffled(uneven(m))[0]],
+                         ids=["matrix16", "uneven", "two_subjects", "shuffled", "shuffled_uneven"])
+@pytest.mark.parametrize("k", [35, 5])
+def test_batched_folds_match_sequential_scan(matrix16, make, k):
+    assert_matches_sequential_scan(make(matrix16), k)
+
+
+def test_fold_without_a_class_refused_like_sequential_scan(matrix16):
+    # S03 has no stressed rows, so holding S04 out of the pair leaves a fold
+    # without any; `uneven` alone covers a subject's empty class group.
+    m = uneven(matrix16)
+    m = m.take(m.codes >= 2)
+    for run in (evaluate.fold_stats, scalar_moments.fold_stats):
+        with pytest.raises(DataError, match="ANOVA needs >= 2 rows in each class"):
+            run(m, 35)
+
+
+@pytest.mark.parametrize("make", [lambda m: m, lambda m: shuffled(m)[0]], ids=["rows", "shuffled"])
+def test_constant_column_sums_of_squares_exactly_zero(matrix16, make):
+    X = matrix16.X.copy()
+    X[:, 3] = 0.1  # no exact binary value: a mean of it may round
+    m = make(windows.FeatureMatrix(matrix16.subjects, matrix16.labels, matrix16.starts,
+                                   X, matrix16.columns))
+    for fold in evaluate.fold_stats(m, 35):
+        assert np.all(fold.classes.ss[:, 3] == 0) and np.all(fold.classes.mean[:, 3] == 0.1)
+        assert np.all(fold.classes.cross[:, 3, :] == 0) and np.all(fold.classes.cross[:, :, 3] == 0)
+        assert fold.f[3] == 0.0 and 3 not in fold.cols
+
+
+def test_shuffled_rows_give_the_same_folds(matrix16):
+    m, perm = shuffled(matrix16, seed=3)
+    by_subject = dict(zip(matrix16.subject_ids, evaluate.fold_stats(matrix16, 35)))
+    for sid, fold in zip(m.subject_ids, evaluate.fold_stats(m, 35)):
+        ref = by_subject[sid]
+        np.testing.assert_array_equal(np.sort(perm[fold.test]), ref.test)
+        np.testing.assert_array_equal(np.sort(perm[fold.train]), ref.train)
+        assert_same_fold(fold, ref.f, ref.cols, ref.mean, ref.std)

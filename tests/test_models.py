@@ -178,6 +178,125 @@ class TestKnn:
         np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def knn_folds_case(draw):
+    """A matrix of a few subjects whose rows interleave, each subject's LOSO
+    fold as `(rows, cols, mean, std)` with its own k, and each fold's test rows.
+
+    Rows come from a small pool, so duplicate rows and exact distance ties are
+    common. A fold's scaler comes from its finite training values, and a
+    column constant over its training rows is dropped, as `windows.select`
+    does; the kept columns come in a random order. One subject may sit far
+    from the others, which moves the fold means away from the operand's
+    centre. A few training values may be nan or +-inf, and a few test rows
+    have a squared norm near _KNN_SCALE_CAP.
+    """
+    n_subjects, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(n_subjects + 2, 40))
+    offset = draw(st.sampled_from([0.0, 1e3, -1e5, 1e8]))
+    spread = draw(st.sampled_from([1e-5, 1e-2, 1.0]))
+    grid = draw(st.booleans())
+    n_pool = draw(st.integers(1, 8))
+    far = draw(st.sampled_from([0.0, 1e3, 1e9]))  # the last subject's shift, in spreads
+    constant = draw(st.booleans())  # a column constant outside the last subject
+    n_bad, n_huge = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = rng.permutation(np.r_[np.arange(n_subjects), rng.integers(0, n_subjects, n - n_subjects)])
+    step = rng.integers(-2, 3, (n_pool, d)) if grid else rng.standard_normal((n_pool, d))
+    X = (offset + spread * step)[rng.integers(0, n_pool, n)]
+    X[codes == n_subjects - 1] += far * spread
+    if constant:
+        X[codes != n_subjects - 1, 0] = offset + 0.1
+    flat = X.reshape(-1)
+    flat[rng.integers(0, flat.size, n_bad)] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
+    folds, ks, tests = [], [], []
+    for s in range(n_subjects):
+        rows = np.flatnonzero(codes != s)
+        T = X[rows]
+        fin = np.isfinite(T)
+        count = fin.sum(axis=0)
+        mean = np.where(fin, T, 0).sum(axis=0) / np.maximum(count, 1)
+        dev = np.where(fin, T - mean, 0)
+        std = np.sqrt((dev ** 2).sum(axis=0) / np.maximum(count - 1, 1))
+        keep = np.flatnonzero(std > 0)
+        if not len(keep):
+            continue
+        cols = rng.permutation(keep)
+        folds.append((rows, cols, mean[cols], std[cols]))
+        k = draw(st.one_of(st.just(len(rows)), st.integers(1, len(rows))))
+        ks.append(k)
+        huge = np.sqrt(models._KNN_SCALE_CAP / len(cols)) * rng.choice(
+            [0.5, 0.99, 1.01, 2.0], (n_huge, 1)) * rng.choice([-1.0, 1.0], (n_huge, len(cols)))
+        tests.append((np.flatnonzero(codes == s), huge))
+    return X, folds, ks, tests
+
+
+class TestKnnFolds:
+    @given(knn_folds_case(), st.one_of(st.none(), st.integers(1, 41)))
+    @settings(max_examples=300, deadline=None)
+    def test_neighbours_match_brute_force_on_zscored_rows(self, case, rows_per_gemm):
+        """Every fold of one shared operand, predicted in fold order, takes the
+        same neighbours as the brute-force reference on the fold's own
+        z-scored training rows."""
+        X, folds, ks, tests = case
+        # Distinct powers of two: a mean of k of them names the rows taken.
+        y = 2.0 ** np.arange(len(X))
+        macs = (dsp.GEMM_MACS if rows_per_gemm is None
+                else rows_per_gemm * models.KNN_CHUNK_ROWS * (X.shape[1] + 1))
+        operand = models.knn_operand(X)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"), \
+                mock.patch.object(dsp, "GEMM_MACS", macs):
+            for fold, k, (test, huge) in zip(folds, ks, tests):
+                T = np.r_[models.zscore(X, test, *fold[1:]), huge]
+                Z = models.zscore(X, *fold)
+                want = y[fold[0]][scalar_knn.knn_indices(Z, T, k)].mean(axis=1)
+                got = models.KnnModel(X, y, k, fold, operand).predict_proba(T)
+                np.testing.assert_array_equal(got, want)
+
+    def test_slack_edge_rows_go_to_the_exact_path(self):
+        """Two clusters of rows a few ulps apart, and test rows between them:
+        the filter's values differ by rounding, a small fraction of its slack,
+        so its order among them is noise, and the 2 nearest must come from the
+        exact path. A filter with 1/64 of the slack decides these rows and
+        takes the wrong neighbours; the largest filter error found in random
+        cases was about 1/76 of the slack, so no input is known on which a
+        quarter of it fails."""
+        X = np.array([2.678648229679953, 2.6786482296799585, -3.1614254035122302,
+                      -3.1614254035122276, -3.1614254035122302, 2.678648229679961,
+                      -3.161425403512241])[:, None]
+        T = np.array([-0.2413885869161379, -0.24138858691613874, -0.2413885869161418,
+                      -0.24138858691614595, -0.24138858691614973, -0.2413885869161453,
+                      -0.24138858691615442, -0.24138858691613832])[:, None]
+        y = 2.0 ** np.arange(len(X))
+        want = y[scalar_knn.knn_indices(X, T, 2)].mean(axis=1)
+        np.testing.assert_array_equal(models.KnnModel(X, y, 2).predict_proba(T), want)
+
+    def test_fit_is_the_folds_of_one_operand(self):
+        X, y = gaussian_clouds(seed=3, d=2, n=30)
+        rows = np.flatnonzero(np.arange(60) % 3 != 0)
+        spec = (rows, np.array([1, 0]), X[rows][:, [1, 0]].mean(axis=0),
+                X[rows][:, [1, 0]].std(axis=0, ddof=1))
+        fitted = models.knn_fit(X, y, [spec, spec], k=4)
+        assert len(fitted) == 2 and fitted[0].operand is fitted[1].operand
+        T = models.zscore(X, np.arange(0, 60, 3), *spec[1:])
+        alone = models.knn_fit(models.zscore(X, *spec), y[rows], k=4)
+        for m in fitted:
+            np.testing.assert_array_equal(m.predict_proba(T), alone.predict_proba(T))
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_k_checked_against_each_folds_distinct_rows(self, k):
+        X, y = gaussian_clouds(n=4)
+        spec = (np.array([0, 1, 4, 5, 5, 6, 7, 7]), np.arange(1), np.zeros(1), np.ones(1))
+        with pytest.raises(ValidationError, match="integer"):
+            models.knn_fit(X, y, [spec], k=k)
+
+    def test_fold_without_both_classes_refused(self):
+        X, y = gaussian_clouds(n=4)
+        spec = (np.arange(4), np.arange(1), np.zeros(1), np.ones(1))
+        with pytest.raises(DataError, match="both classes"):
+            models.knn_fit(X, y, [spec])
+
+
 class TestSgd:
     def test_separable_accuracy(self):
         X, y = gaussian_clouds(seed=7, d=2)
