@@ -60,7 +60,6 @@ class CvReport:
 @dataclass(frozen=True)
 class FoldStats:
     """One LOSO fold's training statistics; no training row is materialised."""
-    train: np.ndarray   # training row indices
     test: np.ndarray    # held-out row indices
     f: np.ndarray       # ANOVA F of every column over the training rows
     cols: np.ndarray    # the top-k columns by F, less zero-variance ones
@@ -68,9 +67,9 @@ class FoldStats:
     std: np.ndarray
     classes: moments.Moments  # the training rows' class moments, every column
 
-    def zscored(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Rows of X, restricted to the fold's columns and z-scored."""
-        return models.zscore(X, rows, self.cols, self.mean, self.std)
+    def zscored(self, X: np.ndarray) -> np.ndarray:
+        """The fold's test rows of X, restricted to its columns and z-scored."""
+        return models.zscore(X, self.test, self.cols, self.mean, self.std)
 
     def lda(self) -> models.LdaModel:
         """LDA on the z-scored training rows, from their class moments."""
@@ -95,8 +94,7 @@ def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
                               2 * n_subjects)
     groups = moments.Moments(*(f.reshape(n_subjects, 2, *f.shape[1:]) for f in groups))
     classes = moments.Moments(*(f.swapaxes(0, 1) for f in moments.leave_one_out(groups)))
-    return [FoldStats(np.flatnonzero(codes != code), np.flatnonzero(codes == code),
-                      *picked, classes[:, code])
+    return [FoldStats(np.flatnonzero(codes == code), *picked, classes[:, code])
             for code, picked in enumerate(select(classes, k, matrix.columns))]
 
 
@@ -121,17 +119,17 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     check_seed(seed)  # echoed into the report, whatever the model
     folds = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
-    specs = [(fold.train, fold.cols, fold.mean, fold.std) for fold in folds]
-    if model_kind == "sgd":
-        fitted = models.sgd_logistic_fit(X, y, specs, seed).models
-    elif model_kind == "lda":
+    if model_kind == "lda":
         fitted = (fold.lda() for fold in folds)
-    else:
-        fitted = models.knn_fit(X, y, specs)
+    else:  # only KNN and SGD read the training rows
+        specs = [(np.flatnonzero(matrix.codes != code), fold.cols, fold.mean, fold.std)
+                 for code, fold in enumerate(folds)]
+        fitted = (models.sgd_logistic_fit(X, y, specs, seed).models if model_kind == "sgd"
+                  else models.knn_fit(X, y, specs))
     results = []
     pooled_correct = 0
     for sid, fold, model in zip(matrix.subject_ids, folds, fitted):
-        p = model.predict_proba(fold.zscored(X, fold.test))
+        p = model.predict_proba(fold.zscored(X))
         y_pred = (p >= 0.5).astype(int)
         acc, conf = metrics(y[fold.test], y_pred)
         results.append(FoldResult(sid, acc, conf, len(fold.test)))

@@ -22,7 +22,7 @@ from .errors import DataError, ValidationError, check_seed, is_whole
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
-# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 7).
+# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 9).
 FLOAT_FMT = "%.12g"
 _CHUNK = 4096  # signal samples formatted by one `%`: about 60 kB of text
 

@@ -5,7 +5,8 @@ probability doubles as a 0.0-1.0 stress level for adaptive consumers.
 SGD has one fit, `sgd_logistic_fit(X, y, folds, seed)`, which steps every
 fold of a LOSO run together and returns their models as an `SgdFolds`; a
 single fit is its one-fold case. KNN likewise has one fit,
-`knn_fit(X, y, folds, k)`, whose fold models share one filter operand.
+`knn_fit(X, y, folds, k)`, which returns a tuple of its folds' models, all
+sharing one filter operand; a single fit is its one-fold case too.
 """
 
 from __future__ import annotations
@@ -95,12 +96,6 @@ def zscore(X, rows, cols, mean, std) -> np.ndarray:
     return Z
 
 
-def _whole(X):
-    """The fold of every row and column of X, unscaled."""
-    n, d = np.shape(X)
-    return np.arange(n), np.arange(d), np.zeros(d), np.ones(d)
-
-
 class KnnOperand(NamedTuple):
     """The filter operand that the folds of one KNN fit share."""
     mean: np.ndarray  # (D,) column means of every row of X
@@ -121,22 +116,16 @@ def knn_operand(X) -> KnnOperand:
 
 @dataclass(frozen=True)
 class KnnModel:
-    """The k-nearest-neighbour model of one fold: it trains on the rows `rows`
-    of X (a set; ties are broken by row order in X), restricted to the columns
-    `cols` and z-scored by `mean` and `std`, where `fold` is
-    `(rows, cols, mean, std)`. Without a fold it trains on every row and column
-    of X as they are. The folds of one `knn_fit` share X, y and `operand`."""
+    """The k-nearest-neighbour model of one fold of a `knn_fit`: it trains on
+    the rows `rows` of X (a set; ties are broken by row order in X), restricted
+    to the columns `cols` and z-scored by `mean` and `std`, where `fold` is
+    `(rows, cols, mean, std)`. The folds of one fit share X, y and `operand`,
+    which is `knn_operand(X)`."""
     X: np.ndarray
     y: np.ndarray
-    k: int = 5
-    fold: tuple | None = None
-    operand: KnnOperand | None = None
-
-    def __post_init__(self):
-        if self.fold is None:
-            object.__setattr__(self, "fold", _whole(self.X))
-        if self.operand is None:
-            object.__setattr__(self, "operand", knn_operand(self.X))
+    k: int
+    fold: tuple
+    operand: KnnOperand
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Fraction of stress labels among the k nearest training rows of the
@@ -266,28 +255,25 @@ class KnnModel:
         return self.y[idx].mean(axis=1)
 
 
-def knn_fit(X, y, folds=None, k: int = 5):
+def knn_fit(X, y, folds, k: int = 5) -> tuple[KnnModel, ...]:
     """The k-nearest-neighbour models of the folds of X, in fold order, which
     share one centred copy of X as their filter operand (`KnnModel`).
 
     `folds` is a sequence of `(rows, cols, mean, std)`, as for
     `sgd_logistic_fit`: fold f trains on `(X[rows][:, cols] - mean) / std`
-    with labels `y[rows]`. Without folds, the fit is the single one on every
-    row and column of X as they are, the one fold `(all rows, all columns,
-    zeros, ones)`, and its model is returned alone.
+    with labels `y[rows]`. A single fit on X is the one fold
+    `(all rows, all columns, zeros, ones)`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    specs = [_whole(X)] if folds is None else folds
-    for rows, *_ in specs:
+    for rows, *_ in folds:
         _check_two_classes(y[rows])
         train = np.zeros(len(y), dtype=bool)
         train[rows] = True
         if not is_whole(k) or k < 1 or k > np.count_nonzero(train):
             raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
     operand = knn_operand(X)
-    fitted = tuple(KnnModel(X, y, k, spec, operand) for spec in specs)
-    return fitted[0] if folds is None else fitted
+    return tuple(KnnModel(X, y, k, spec, operand) for spec in folds)
 
 
 @dataclass(frozen=True)

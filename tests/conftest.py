@@ -19,7 +19,7 @@ def assert_bit_equal(got, want):
 
 def one_fold(X):
     """The fold of every row and column of X, unscaled: with it,
-    `models.sgd_logistic_fit` is a single fit on X."""
+    `models.sgd_logistic_fit` and `models.knn_fit` are single fits on X."""
     n, d = np.shape(X)
     return [(np.arange(n), np.arange(d), np.zeros(d), np.ones(d))]
 

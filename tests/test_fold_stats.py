@@ -21,6 +21,7 @@ import pytest
 
 import scalar_folds
 import scalar_moments
+from conftest import one_fold
 from ppgstress import evaluate, models, windows
 from ppgstress.errors import DataError
 
@@ -41,7 +42,9 @@ def assert_folds_match(m, k):
     assert len(folds) == len(refs) == len(m.subject_ids)
     for fold, ref in zip(folds, refs):
         np.testing.assert_array_equal(fold.test, np.flatnonzero(ref.test_mask))
-        np.testing.assert_array_equal(fold.train, np.flatnonzero(~ref.test_mask))
+        train = np.ones(m.n_rows, dtype=bool)  # the complement of the fold's test rows
+        train[fold.test] = False
+        np.testing.assert_array_equal(train, ~ref.test_mask)
         assert np.all(np.abs(fold.f - ref.f) <= TOL * ref.f)
         order = windows.rank(fold.f)
         moved = order != ref.ranked
@@ -52,16 +55,17 @@ def assert_folds_match(m, k):
         assert np.all(np.abs(fold.mean - ref.mean[at]) <= TOL * ref.std[at])
         assert np.all(np.abs(fold.std - ref.std[at]) <= TOL * ref.std[at])
 
-        test_X = fold.zscored(m.X, fold.test)
+        test_X = fold.zscored(m.X)
         lda, lda_ref = fold.lda(), scalar_folds.lda_fit(ref.train_X, ref.train_y)
         d, d_ref = lda.decision(test_X), lda_ref.decision(ref.test_X)
         assert np.max(np.abs(d - d_ref)) <= TOL * np.max(np.abs(d_ref))
         np.testing.assert_array_equal(lda.predict_proba(test_X) >= 0.5,
                                       lda_ref.predict_proba(ref.test_X) >= 0.5)
-        knn = models.knn_fit(fold.zscored(m.X, fold.train), m.labels[fold.train])
-        np.testing.assert_array_equal(
-            knn.predict_proba(test_X),
-            models.knn_fit(ref.train_X, ref.train_y).predict_proba(ref.test_X))
+        train_X = models.zscore(m.X, train, fold.cols, fold.mean, fold.std)
+        knn = models.knn_fit(train_X, m.labels[train], one_fold(train_X))[0]
+        knn_ref = models.knn_fit(ref.train_X, ref.train_y, one_fold(ref.train_X))[0]
+        np.testing.assert_array_equal(knn.predict_proba(test_X),
+                                      knn_ref.predict_proba(ref.test_X))
 
 
 @pytest.mark.parametrize("k", [35, 5])
@@ -180,5 +184,6 @@ def test_shuffled_rows_give_the_same_folds(matrix16):
     for sid, fold in zip(m.subject_ids, evaluate.fold_stats(m, 35)):
         ref = by_subject[sid]
         np.testing.assert_array_equal(np.sort(perm[fold.test]), ref.test)
-        np.testing.assert_array_equal(np.sort(perm[fold.train]), ref.train)
+        np.testing.assert_array_equal(np.sort(perm[fold.test]),
+                                      np.flatnonzero(matrix16.rows_for(sid)))
         assert_same_fold(fold, ref.f, ref.cols, ref.mean, ref.std)

@@ -109,20 +109,20 @@ class TestKnn:
     def test_unanimous_neighbors(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.r_[np.zeros(5), np.ones(5)].astype(int)
-        m = models.knn_fit(X, y, k=5)
+        m = models.knn_fit(X, y, one_fold(X), 5)[0]
         assert m.predict_proba(np.array([[9.0]]))[0] == 1.0
         assert m.predict_proba(np.array([[0.0]]))[0] == 0.0
 
     def test_probability_is_neighbor_fraction(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([1, 0, 1, 0, 1])
-        m = models.knn_fit(X, y, k=5)
+        m = models.knn_fit(X, y, one_fold(X), 5)[0]
         assert m.predict_proba(np.array([[2.0]]))[0] == pytest.approx(3 / 5)
 
     def test_distance_ties_broken_by_row_order(self):
         X = np.array([[0.0], [2.0], [-2.0], [2.0]])
         y = np.array([0, 1, 0, 1])
-        m = models.knn_fit(X, y, k=3)
+        m = models.knn_fit(X, y, one_fold(X), 3)[0]
         # from x=0: distances (0, 2, 2, 2); stable order keeps rows 1 then 2
         assert m.predict_proba(np.array([[0.0]]))[0] == pytest.approx(1 / 3)
 
@@ -141,23 +141,24 @@ class TestKnn:
         y = 2.0 ** np.arange(n)
         d2 = np.sum((T[:, None, :] - X[None, :, :]) ** 2, axis=2)
         want = y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
-        np.testing.assert_array_equal(models.KnnModel(X, y, k).predict_proba(T), want)
+        model = models.KnnModel(X, y, k, one_fold(X)[0], models.knn_operand(X))
+        np.testing.assert_array_equal(model.predict_proba(T), want)
 
     def test_k_validation(self):
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError):
-            models.knn_fit(X, y, k=0)
+            models.knn_fit(X, y, one_fold(X), 0)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "3", None, True])
     def test_non_integer_k_refused(self, k):
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError, match="integer"):
-            models.knn_fit(X, y, k=k)
+            models.knn_fit(X, y, one_fold(X), k)
 
     @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (1,), (2, 3, 1)])
     def test_wrong_test_columns_refused(self, shape):
         X, y = gaussian_clouds(n=3, d=3)
-        m = models.knn_fit(X, y, k=3)
+        m = models.knn_fit(X, y, one_fold(X), 3)[0]
         with pytest.raises(ValidationError, match="3 columns"):
             m.predict_proba(np.zeros(shape))
 
@@ -174,7 +175,8 @@ class TestKnn:
         with np.errstate(invalid="ignore", over="ignore"), \
                 mock.patch.object(dsp, "GEMM_MACS", macs):
             want = y[scalar_knn.knn_indices(X, T, k)].mean(axis=1)
-            got = models.KnnModel(X, y, k).predict_proba(T)
+            got = models.KnnModel(X, y, k, one_fold(X)[0],
+                                  models.knn_operand(X)).predict_proba(T)
         np.testing.assert_array_equal(got, want)
 
 
@@ -269,7 +271,8 @@ class TestKnnFolds:
                       -0.24138858691615442, -0.24138858691613832])[:, None]
         y = 2.0 ** np.arange(len(X))
         want = y[scalar_knn.knn_indices(X, T, 2)].mean(axis=1)
-        np.testing.assert_array_equal(models.KnnModel(X, y, 2).predict_proba(T), want)
+        model = models.KnnModel(X, y, 2, one_fold(X)[0], models.knn_operand(X))
+        np.testing.assert_array_equal(model.predict_proba(T), want)
 
     def test_fit_is_the_folds_of_one_operand(self):
         X, y = gaussian_clouds(seed=3, d=2, n=30)
@@ -279,7 +282,8 @@ class TestKnnFolds:
         fitted = models.knn_fit(X, y, [spec, spec], k=4)
         assert len(fitted) == 2 and fitted[0].operand is fitted[1].operand
         T = models.zscore(X, np.arange(0, 60, 3), *spec[1:])
-        alone = models.knn_fit(models.zscore(X, *spec), y[rows], k=4)
+        Z = models.zscore(X, *spec)
+        alone = models.knn_fit(Z, y[rows], one_fold(Z), 4)[0]
         for m in fitted:
             np.testing.assert_array_equal(m.predict_proba(T), alone.predict_proba(T))
 
@@ -352,7 +356,8 @@ def test_sigmoid_saturates_without_warnings():
 
 
 @pytest.mark.parametrize("fit", [
-    models.lda_fit, models.knn_fit,
+    models.lda_fit,
+    pytest.param(lambda X, y: models.knn_fit(X, y, one_fold(X)), id="knn_fit"),
     pytest.param(lambda X, y: models.sgd_logistic_fit(X, y, one_fold(X)),
                  id="sgd_logistic_fit")])
 def test_non_binary_labels_refused(fit):
