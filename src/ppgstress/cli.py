@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import evaluate, hrv, io, models, windows
-from .errors import DataError, ValidationError, check_k, check_seed
+from .errors import DataError, ValidationError
 
 
 def _add_manifest(p: argparse.ArgumentParser):
@@ -100,12 +100,11 @@ def _cmd_features(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = windows.WindowSpec(args.window, args.step)
-    check_seed(args.seed)
-    check_k(args.k)
-    matrix = windows.build_matrix(io.load_dataset(args.manifest), spec)
-    for kind in args.model or ["lda"]:
-        report = evaluate.loso_matrix(matrix, args.k, kind, args.seed,
-                                      evaluate.window_echo(spec))
+    kinds = args.model or ["lda"]
+    evaluate.check_run(args.k, kinds, args.seed)
+    reports = evaluate.loso_reports(io.load_dataset(args.manifest), [spec], kinds,
+                                    args.k, args.seed)
+    for kind, report in zip(kinds, reports):
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             (args.out / f"cv_report_{kind}.json").write_text(report.to_json() + "\n")
@@ -128,8 +127,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(f"--sizes names no window size: {args.sizes!r}")
     for s in sizes:
         windows.WindowSpec(s, args.step)
-    check_seed(args.seed)
-    check_k(args.k)
+    evaluate.check_run(args.k, [args.model], args.seed)
     ds = io.load_dataset(args.manifest)
     rows = evaluate.sweep_windows(ds, sizes, args.step, args.k, args.model,
                                   args.seed)

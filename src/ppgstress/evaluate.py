@@ -115,8 +115,7 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
-    _check_model_kind(model_kind)
-    check_seed(seed)  # echoed into the report, whatever the model
+    check_run(k, [model_kind], seed)  # the seed is echoed, whatever the model
     folds = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
     if model_kind == "lda":
@@ -140,10 +139,14 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
                     pooled_correct / matrix.n_rows, cfg)
 
 
-def _check_model_kind(model_kind: str) -> None:
-    if model_kind not in models.MODEL_KINDS:
-        raise ValidationError(f"unknown model kind {model_kind!r}; expected one of "
-                              f"{models.MODEL_KINDS}")
+def check_run(k, model_kinds, seed) -> None:
+    """Refuse a bad seed, then a bad k, then any unknown model kind."""
+    check_seed(seed)
+    check_k(k)
+    for kind in model_kinds:
+        if kind not in models.MODEL_KINDS:
+            raise ValidationError(f"unknown model kind {kind!r}; expected one of "
+                                  f"{models.MODEL_KINDS}")
 
 
 def window_echo(spec: WindowSpec) -> dict:
@@ -151,14 +154,26 @@ def window_echo(spec: WindowSpec) -> dict:
     return {"window_s": spec.size_s, "step_s": spec.step_s}
 
 
+def loso_reports(ds: Dataset, specs: list[WindowSpec], model_kinds: list[str], k: int,
+                 seed: int) -> list[CvReport]:
+    """Strict LOSO of each model kind at each window spec, reports spec by spec.
+    Each trace is prepared once and shares its Welch segments across the specs
+    (`hrv.SegmentPowers`); each spec's matrix is freed before the next is built."""
+    check_run(k, model_kinds, seed)
+    prepared = {t.subject_id: (prepare_trace(t), hrv.SegmentPowers()) for t in ds}
+    reports = []
+    for spec in specs:
+        matrix = build_matrix(ds, spec, prepared)
+        reports += [loso_matrix(matrix, k, kind, seed, window_echo(spec))
+                    for kind in model_kinds]
+        del matrix
+    return reports
+
+
 def loso(ds: Dataset, spec: WindowSpec = WindowSpec(), k: int = DEFAULT_K,
          model_kind: str = "lda", seed: int = 0) -> CvReport:
     """Build the feature matrix for the dataset and run strict LOSO."""
-    check_seed(seed)
-    check_k(k)
-    _check_model_kind(model_kind)
-    matrix = build_matrix(ds, spec)
-    return loso_matrix(matrix, k, model_kind, seed, window_echo(spec))
+    return loso_reports(ds, [spec], [model_kind], k, seed)[0]
 
 
 def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
@@ -177,27 +192,13 @@ def shuffle_labels(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
 def sweep_windows(ds: Dataset, sizes=DEFAULT_SWEEP_SIZES,
                   step_s: float = WindowSpec.step_s, k: int = DEFAULT_K,
                   model_kind: str = "lda", seed: int = 0) -> list[dict]:
-    """One LOSO run per window size; rows for the sweep CSV.
-
-    Each trace is prepared once, and its Welch segments are shared across
-    the sizes (`hrv.SegmentPowers`); the matrices are built one size at a
-    time.
-    """
-    check_seed(seed)
-    check_k(k)
+    """One LOSO run per window size (`loso_reports`); rows for the sweep CSV."""
     specs = [WindowSpec(float(size), step_s) for size in sizes]
     if not specs:
         raise ValidationError(f"sizes names no window size: {sizes!r}")
-    _check_model_kind(model_kind)
-    prepared = {t.subject_id: (prepare_trace(t), hrv.SegmentPowers()) for t in ds}
-    rows = []
-    for spec in specs:
-        rep = loso_matrix(build_matrix(ds, spec, prepared), k, model_kind, seed,
-                          window_echo(spec))
-        rows.append({"window_s": spec.size_s,
-                     "mean_accuracy": rep.mean_accuracy,
-                     "pooled_accuracy": rep.pooled_accuracy})
-    return rows
+    return [{"window_s": rep.config["window_s"], "mean_accuracy": rep.mean_accuracy,
+             "pooled_accuracy": rep.pooled_accuracy}
+            for rep in loso_reports(ds, specs, [model_kind], k, seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,13 @@ class SynthCohortSpec:
             if not (len(amps := getattr(self, name)) == 2
                     and all(map(math.isfinite, amps))):
                 raise ValidationError(f"{name} must be two finite amplitudes in ms")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValidationError("noise_sigma must be >= 0 and finite")
+        _check_noise(self.noise_sigma)
         check_seed(self.seed)
+
+
+def _check_noise(noise_sigma) -> None:
+    if not 0 <= noise_sigma < math.inf:
+        raise ValidationError("noise_sigma must be >= 0 and finite")
 
 
 PULSE_WIDTH_S = 0.3
@@ -198,7 +202,8 @@ def synth_ppg(
 ) -> PpgTrace:
     """Render a PPG trace whose systolic peaks sit at cumsum(rr_plan).
 
-    Deterministic for a fixed seed; noise is additive Gaussian.
+    Deterministic for a fixed seed; noise is additive Gaussian. The seed and
+    noise_sigma must pass `SynthCohortSpec`'s checks.
     """
     rr = np.asarray(rr_plan_ms, dtype=float)
     if rr.size == 0:
@@ -207,6 +212,8 @@ def synth_ppg(
     if not np.all((rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)):
         raise ValidationError(
             f"rr_plan values must lie in [{RR_MIN_MS:g}, {RR_MAX_MS:g}] ms")
+    _check_noise(noise_sigma)
+    check_seed(seed)
     beat_times = np.cumsum(rr) / 1000.0
     n = int(round((beat_times[-1] + PULSE_WIDTH_S) * fs))
     x = _render_beats(beat_times, fs, n, dicrotic)

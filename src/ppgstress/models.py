@@ -49,7 +49,9 @@ def _check_two_classes(y: np.ndarray):
 
 
 @dataclass(frozen=True)
-class LdaModel:
+class _Linear:
+    """A linear decision and its logistic, LDA's and SGD's. Neither model may
+    subclass the other: `perfbench` would record its predictions twice."""
     weights: np.ndarray  # (d,)
     bias: float
 
@@ -57,8 +59,12 @@ class LdaModel:
         return np.atleast_2d(X) @ self.weights + self.bias
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        # Logistic of the Gaussian log-odds: exact under the LDA model.
         return _sigmoid(self.decision(X))
+
+
+@dataclass(frozen=True)
+class LdaModel(_Linear):
+    """Its decision is the Gaussian log-odds: the probability is exact under LDA."""
 
 
 def lda_fit(X, y) -> LdaModel:
@@ -277,16 +283,8 @@ def knn_fit(X, y, folds, k: int = 5) -> tuple[KnnModel, ...]:
 
 
 @dataclass(frozen=True)
-class SgdModel:
-    weights: np.ndarray
-    bias: float
+class SgdModel(_Linear):
     loss_per_epoch: tuple[float, ...]
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(X) @ self.weights + self.bias
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision(X))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -28,6 +29,12 @@ class WindowSpec:
     step_s: float = 5.0
 
     def __post_init__(self):
+        # Stored as floats, so that a report's config echoes them as JSON numbers.
+        for name, what in (("size_s", "window size"), ("step_s", "step")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{what} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         # nan fails every comparison, so both checks refuse nan as well as inf.
         if not hrv.SPECTRAL_MIN_SPAN_S <= self.size_s < np.inf:
             raise ValidationError(f"window size must be finite and >= "

@@ -99,13 +99,13 @@ class TestEval:
     def test_matrix_built_once_for_all_models(self, small_manifest, tmp_path,
                                               capsys, monkeypatch):
         calls = []
-        build = windows.build_matrix
+        build = evaluate.build_matrix
 
         def counting_build(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(windows, "build_matrix", counting_build)
+        monkeypatch.setattr(evaluate, "build_matrix", counting_build)
         out = tmp_path / "reports"
         code, _, _ = run(capsys, "eval", "--manifest", str(small_manifest),
                          "--model", "lda", "--model", "knn", "--out", str(out))

@@ -174,6 +174,60 @@ def test_bad_arguments_refused_before_data_work(cohort16, monkeypatch, entry,
         entry(cohort16, **kwargs)
 
 
+def test_check_run_order():
+    # A bad seed is named first, then a bad k, then the first unknown kind.
+    for args, shown in [((0, ["xgb"], -1), "seed must be a whole number >= 0, got -1"),
+                        ((0, ["xgb"], 0), "k must be >= 1, got 0"),
+                        ((1, ["lda", "xgb", "svm"], 0), "unknown model kind 'xgb'")]:
+        with pytest.raises(ValidationError, match=f"^{shown}"):
+            evaluate.check_run(*args)
+    evaluate.check_run(1, list(evaluate.models.MODEL_KINDS), 0)
+
+
+@pytest.fixture(scope="module")
+def cohort3():
+    return io.synth_cohort(io.SynthCohortSpec(n_subjects=3, seed=2))
+
+
+SPECS = (windows.WindowSpec(60.0, 5.0), windows.WindowSpec(80.0, 10.0))
+
+
+def recording(fn, log):
+    def spy(*args):
+        log.append(args)
+        return fn(*args)
+    return spy
+
+
+@pytest.mark.parametrize("kinds", [["sgd"], ["lda", "knn", "sgd"]])
+def test_loso_reports_prepares_and_builds_once(cohort3, monkeypatch, kinds):
+    calls = {"prepare_trace": [], "build_matrix": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(evaluate, name, recording(getattr(evaluate, name), log))
+    reports = evaluate.loso_reports(cohort3, SPECS, kinds, 10, 1)
+    assert [args[0].subject_id for args in calls["prepare_trace"]] \
+        == [t.subject_id for t in cohort3]
+    assert [args[1] for args in calls["build_matrix"]] == list(SPECS)
+    # Spec by spec, and within a spec in the order of the kinds.
+    assert [(r.config["window_s"], r.config["step_s"], r.config["model"])
+            for r in reports] == [(s.size_s, s.step_s, kind)
+                                  for s in SPECS for kind in kinds]
+
+
+@pytest.mark.parametrize("kind", ["lda", "knn", "sgd"])
+def test_loso_is_loso_matrix_of_built_matrix(cohort3, kind):
+    spec = windows.WindowSpec(80.0, 10.0)
+    alone = evaluate.loso_matrix(windows.build_matrix(cohort3, spec), 10, kind, 3,
+                                 evaluate.window_echo(spec))
+    assert evaluate.loso(cohort3, spec, 10, kind, 3).to_json() == alone.to_json()
+
+
+@pytest.mark.parametrize("size", [np.int64(80), np.float32(80.0)])
+def test_numpy_window_size_report_serialises(cohort3, size):
+    doc = json.loads(evaluate.loso(cohort3, windows.WindowSpec(size, 10.0)).to_json())
+    assert (doc["config"]["window_s"], doc["config"]["step_s"]) == (80.0, 10.0)
+
+
 def oracle_exact_u(a, b):
     """Rank-free brute force: U counts pairs (x in A, y in B) with x > y
     (+0.5 for ties); the p-value enumerates every assignment of the pooled

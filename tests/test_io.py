@@ -107,6 +107,18 @@ class TestSynthPpg:
                            match=r"^rr_plan values must lie in \[300, 2000\] ms$"):
             io.synth_ppg(plan, 100.0)
 
+    # numpy raised ValueError for -1 and TypeError for 2.5; True passed.
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be a whole number >= 0"):
+            io.synth_ppg([800.0] * 10, 100.0, noise_sigma=0.1, seed=seed)
+
+    # A negative or nan sigma gave a noiseless trace; inf, non-finite samples.
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_bad_noise_sigma_refused(self, value):
+        with pytest.raises(ValidationError, match="^noise_sigma must be >= 0 and finite$"):
+            io.synth_ppg([800.0] * 10, 100.0, noise_sigma=value)
+
 
 def _beat_times(plan: str, n_beats: int = 120) -> np.ndarray:
     if plan == "rr300":  # the shortest interval a plan may hold

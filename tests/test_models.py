@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -330,6 +331,18 @@ class TestSgd:
         m = models.sgd_logistic_fit(X, y, one_fold(X), seed=2).models[0]
         losses = np.array(m.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
+
+
+def test_linear_models_share_decision_and_fields():
+    # perfbench wraps predict_proba on each model class in turn, so a model
+    # subclassing another would have its predictions recorded twice.
+    assert not issubclass(models.SgdModel, models.LdaModel)
+    assert [f.name for f in dataclasses.fields(models.SgdModel)] \
+        == ["weights", "bias", "loss_per_epoch"]
+    w, X = np.array([1.0, -2.0]), np.array([[1.0, 1.0], [0.0, 3.0]])
+    lda, sgd = models.LdaModel(w, 0.5), models.SgdModel(w, 0.5, (0.1,))
+    np.testing.assert_array_equal(lda.decision(X), [-0.5, -5.5])
+    np.testing.assert_array_equal(lda.predict_proba(X), sgd.predict_proba(X))
 
 
 def test_sigmoid_matches_expit():

@@ -38,6 +38,23 @@ class TestWindowSpec:
         with pytest.raises(ValidationError, match=shown):
             windows.WindowSpec(size, step)
 
+    @pytest.mark.parametrize("size,step", [(np.int64(80), 5), (np.float32(80.0), 5.0),
+                                           (80, np.float32(5.0))])
+    def test_stored_as_float(self, size, step):
+        spec = windows.WindowSpec(size, step)
+        assert (type(spec.size_s), type(spec.step_s)) == (float, float)
+        assert (spec.size_s, spec.step_s) == (80.0, 5.0)
+
+    @pytest.mark.parametrize("size,step,shown", [
+        ("80", 5.0, "window size must be a real number, got '80'"),
+        (True, 5.0, "window size must be a real number, got True"),
+        (80.0, True, "step must be a real number, got True"),
+        (80.0, None, "step must be a real number, got None")],
+        ids=["size-str", "size-bool", "step-bool", "step-none"])
+    def test_not_a_real_number_refused(self, size, step, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            windows.WindowSpec(size, step)
+
 
 class TestSegment:
     @pytest.mark.parametrize("size,expected", [(80.0, 69), (120.0, 61)])
