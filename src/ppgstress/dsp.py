@@ -197,6 +197,7 @@ class BlockFilter:
         xb = np.zeros(gemms * rows * BLOCK)  # trailing zeros do not reach y[:n]
         xb[:n] = x
         w = (xb.reshape(gemms, rows, BLOCK) @ self.gain).reshape(-1, width)
+        del xb  # freed before the scan: the filter passes set the build's memory peak
         y, end = w[:, :BLOCK], w[:, BLOCK:]
         # end[b] becomes the state after block b: a doubling (Hillis-Steele) scan.
         M, d = self.step, 1
@@ -230,8 +231,8 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     if len(x) <= pad:
         raise DataError(f"input too short for zero-phase filtering: "
                         f"{len(x)} samples <= pad {pad}")
-    xp = np.pad(x, pad, mode="reflect")
-    y = cascade.blocks(xp)
+    # The padded copy is freed before the backward pass.
+    y = cascade.blocks(np.pad(x, pad, mode="reflect"))
     y = cascade.blocks(y[::-1])[::-1]
     return y[pad:len(y) - pad]
 
@@ -267,10 +268,15 @@ def welch_psd(x, fs: float, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
     segs = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)
     segs = segs[..., ::hop, :]
     win = hann(segment_len)
-    spec = np.fft.rfft((segs - segs.mean(axis=-1, keepdims=True)) * win, axis=-1)
+    centred = segs - segs.mean(axis=-1, keepdims=True)
+    centred *= win
+    spec = np.fft.rfft(centred, axis=-1)
+    del centred
     power = spec.real ** 2
-    power += spec.imag ** 2
-    power = power.mean(axis=-2) / (fs * (win * win).sum())
+    power += np.square(spec.imag, out=spec.imag)
+    del spec
+    power = power.mean(axis=-2)
+    power /= fs * (win * win).sum()
     # One-sided: every bin but 0 Hz and an even length's fs/2 holds its mirror.
     power[..., 1:(segment_len + 1) // 2] *= 2
     return np.fft.rfftfreq(segment_len, 1 / fs), power

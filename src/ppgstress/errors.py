@@ -1,5 +1,7 @@
-"""Exception types shared across the pipeline, and the seed and k checks."""
+"""Exception types shared across the pipeline, and the seed, k and real-number
+checks."""
 
+import math
 import numbers
 
 
@@ -18,6 +20,18 @@ class DataError(PipelineError):
 def is_whole(value) -> bool:
     """Whether value is a whole number: an Integral that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_real(value, what: str) -> float:
+    """Refuse a bool or a value that is not a real number; returns the value
+    as a float, +-inf for one too large for a float, which range checks
+    then refuse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_seed(seed) -> None:

@@ -22,20 +22,28 @@ DEFAULT_K = 35  # exceeds the 27 columns: all are kept, and ANOVA-F only orders 
 
 
 def metrics(y_true, y_pred) -> tuple[float, dict[str, int]]:
-    """Accuracy and 2x2 confusion counts (stress = positive class)."""
+    """Accuracy and 2x2 confusion counts of 0/1 labels (stress = positive class)."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if len(y_true) != len(y_pred):
         raise ValidationError(f"length mismatch: {len(y_true)} vs {len(y_pred)}")
     if len(y_true) == 0:
         raise ValidationError("empty label sequences")
-    conf = {
-        "tp": int(np.sum((y_true == 1) & (y_pred == 1))),
-        "tn": int(np.sum((y_true == 0) & (y_pred == 0))),
-        "fp": int(np.sum((y_true == 0) & (y_pred == 1))),
-        "fn": int(np.sum((y_true == 1) & (y_pred == 0))),
-    }
-    return float(np.mean(y_true == y_pred)), conf
+    for y in (y_true, y_pred):
+        other = y[(y != 0) & (y != 1)]
+        if other.size:
+            raise ValidationError(f"labels must be 0 or 1, got {other[0].item()!r}")
+    return _fold_metrics(y_true, y_pred, [len(y_true)])[0]
+
+
+def _fold_metrics(y_true, y_pred, sizes) -> list[tuple[float, dict[str, int]]]:
+    """`metrics` of each run of `sizes[i]` consecutive rows: every run's
+    confusion counts from one bincount."""
+    fold = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(4 * fold + 2 * y_true.astype(np.intp) + y_pred.astype(np.intp),
+                         minlength=4 * len(sizes))
+    return [((tn + tp) / n, {"tp": tp, "tn": tn, "fp": fp, "fn": fn})
+            for n, (tn, fp, fn, tp) in zip(sizes, counts.reshape(-1, 4).tolist())]
 
 
 @dataclass(frozen=True)
@@ -125,14 +133,13 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
                  for code, fold in enumerate(folds)]
         fitted = (models.sgd_logistic_fit(X, y, specs, seed).models if model_kind == "sgd"
                   else models.knn_fit(X, y, specs))
-    results = []
-    pooled_correct = 0
-    for sid, fold, model in zip(matrix.subject_ids, folds, fitted):
-        p = model.predict_proba(fold.zscored(X))
-        y_pred = (p >= 0.5).astype(int)
-        acc, conf = metrics(y[fold.test], y_pred)
-        results.append(FoldResult(sid, acc, conf, len(fold.test)))
-        pooled_correct += conf["tp"] + conf["tn"]
+    probs = [model.predict_proba(fold.zscored(X)) for fold, model in zip(folds, fitted)]
+    sizes = [len(fold.test) for fold in folds]
+    scored = _fold_metrics(y[np.concatenate([fold.test for fold in folds])],
+                           np.concatenate(probs) >= 0.5, sizes)
+    results = [FoldResult(sid, acc, conf, n)
+               for sid, (acc, conf), n in zip(matrix.subject_ids, scored, sizes)]
+    pooled_correct = sum(conf["tp"] + conf["tn"] for _, conf in scored)
     cfg = dict(config_echo or {}, k=int(k), model=model_kind, seed=int(seed))
     return CvReport(tuple(results),
                     float(np.mean([f.accuracy for f in results])),

@@ -1,5 +1,5 @@
-"""HRV feature catalog: time, frequency and non-linear domains, computed in
-batches over all windows of an RR series."""
+"""HRV feature catalog: time, frequency and non-linear domains, computed for
+all windows of an RR series at once."""
 
 from __future__ import annotations
 
@@ -21,12 +21,6 @@ WELCH_SEGMENT = 256
 SPECTRAL_MIN_SPAN_S = 60.0
 SPECTRAL_MIN_INTERVALS = 20
 MAX_REJECTED_FRAC = 0.2
-# Windows per batch. A batch's temporaries stay near 1 MB, so each batch
-# reuses the heap memory the previous one freed. Whole subjects (~130
-# windows, 2-3 MB) make the allocator return that memory after every call
-# and fault it in afresh on the next: 50k-150k page faults, of varying
-# cost, in each 13-size sweep of 16 subjects.
-BATCH_WINDOWS = 64
 
 VLF_BAND = (0.0033, 0.04)
 LF_BAND = (0.04, 0.15)
@@ -136,32 +130,46 @@ def window_features(rr: RrSeries, start_s, end_s,
     reasons[:, 1] = n_rejected / np.maximum(n + n_rejected, 1) > MAX_REJECTED_FRAC
     X = np.full((n.size, len(FEATURE_NAMES)), np.nan)
     ok = np.flatnonzero(~reasons[:, 0])
-    for first in range(0, ok.size, BATCH_WINDOWS):
-        rows = ok[first:first + BATCH_WINDOWS]
-        b_lo, b_hi, b_n = lo[rows], hi[rows], n[rows]
-        # Rows padded with their last interval; every reduction masks by n.
-        R = rr.rr_ms[np.minimum(b_lo[:, None] + np.arange(b_n.max()),
-                                b_hi[:, None] - 1)]
-        cols = {**_rr_columns(R, b_n),
-                **_spectral_columns(rr.rr_times_s, rr.rr_ms, b_lo, b_hi, powers)}
-        X[rows] = np.column_stack([cols[name] for name in FEATURE_NAMES])
-        reasons[rows, 2:] = np.column_stack([cols[r] for r in DROP_REASONS[2:]])
+    if ok.size:
+        lo, hi, n = lo[ok], hi[ok], n[ok]
+        # Each column is written in place, so few of a call's arrays outlive
+        # its large temporaries in the heap.
+        rows, flags = X[ok], reasons[ok]
+        cols = _columns(rows, flags)
+        _spectral_columns(rr.rr_times_s, rr.rr_ms, lo, hi, powers, cols)
+        # Rows padded with their last interval.
+        at = lo[:, None] + np.arange(n.max())
+        _rr_columns(rr.rr_ms[np.minimum(at, hi[:, None] - 1, out=at)], n, cols)
+        X[ok], reasons[ok] = rows, flags
     return X, reasons
+
+
+def _columns(X: np.ndarray, reasons: np.ndarray) -> dict:
+    """Views of each catalog column of X and each flag column of `reasons`
+    (DROP_REASONS order), by name."""
+    return dict(zip(FEATURE_NAMES + DROP_REASONS, [*X.T, *reasons.T]))
 
 
 def _one(cols: dict, domain: str) -> WindowFeatures:
     """The first row of a column dict: one domain's values and raised flags."""
     return WindowFeatures(
         {name: float(cols[name][0]) for name, d, _, _ in CATALOG if d == domain},
-        tuple(r for r in DROP_REASONS if r in cols and cols[r][0]))
+        tuple(r for r in DROP_REASONS if cols[r][0]))
+
+
+def _one_row() -> dict:
+    """The columns of one window, NaN and unflagged until written."""
+    return _columns(np.full((1, len(FEATURE_NAMES)), np.nan),
+                    np.zeros((1, len(DROP_REASONS)), dtype=bool))
 
 
 def _rr_window(rr_ms) -> dict:
-    rr = np.asarray(rr_ms, dtype=float)
+    rr = np.array(rr_ms, dtype=float)  # a copy: `_rr_columns` sorts it in place
     if rr.size < 4:
         raise DataError(f"need >= 4 intervals for time and nonlinear features, "
                         f"got {rr.size}")
-    return _rr_columns(rr[None, :], np.array([rr.size]))
+    _rr_columns(rr[None, :], np.array([rr.size]), cols := _one_row())
+    return cols
 
 
 def _refuse(rr: RrSeries, window_span_s: float) -> None:
@@ -182,9 +190,9 @@ def frequency_domain(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     that span.
     """
     _refuse(rr, window_span_s)
-    return _one(_spectral_columns(rr.rr_times_s, rr.rr_ms, np.array([0]),
-                                  np.array([rr.rr_ms.size]), SegmentPowers()),
-                "frequency")
+    _spectral_columns(rr.rr_times_s, rr.rr_ms, np.array([0]), np.array([rr.rr_ms.size]),
+                      SegmentPowers(), cols := _one_row())
+    return _one(cols, "frequency")
 
 
 def nonlinear(rr_ms) -> WindowFeatures:
@@ -200,51 +208,68 @@ def all_features(rr: RrSeries, window_span_s: float) -> WindowFeatures:
                           tuple(r for r, on in zip(DROP_REASONS, reasons[0]) if on))
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, undefined: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.full_like(num, np.nan), where=~undefined)
+def _ratio(num: np.ndarray, den: np.ndarray, undefined: np.ndarray, out: np.ndarray):
+    """num / den into out, NaN where `undefined`."""
+    out[:] = np.nan
+    np.divide(num, den, out=out, where=~undefined)
 
 
-def _rr_columns(R: np.ndarray, n: np.ndarray) -> dict:
-    """Time-domain and nonlinear columns of the rows R[i, :n[i]] (n >= 4).
+def _rr_columns(R: np.ndarray, n: np.ndarray, cols: dict) -> None:
+    """Time-domain and nonlinear columns of the rows R[i, :n[i]] (n >= 4),
+    each padded with its last interval, written into `cols`. R is
+    overwritten: it ends sorted along each row, with +inf padding.
 
     Moments take two passes, since E[x^2] - E[x]^2 cancels badly on
-    low-variance windows. Order statistics come from rows sorted with +inf
-    padding.
+    low-variance windows. Order statistics come from the sorted rows.
     """
-    valid = np.arange(R.shape[1]) < n[:, None]
-    mean = np.where(valid, R, 0.0).sum(axis=1) / n
-    ss = np.where(valid, (R - mean[:, None]) ** 2, 0.0).sum(axis=1)
-    d = np.where(valid[:, 1:], np.diff(R, axis=1), 0.0)
-    mean_d = d.sum(axis=1) / (n - 1)
-    ss_d = np.where(valid[:, 1:], (d - mean_d[:, None]) ** 2, 0.0).sum(axis=1)
-    ordered = np.sort(np.where(valid, R, np.inf), axis=1)
-    median = _sorted_median(ordered, n)
-    mad = MAD_SCALE * _sorted_median(
-        np.sort(np.where(valid, np.abs(R - median[:, None]), np.inf), axis=1), n)
-    sdnn = np.sqrt(ss / (n - 1))
-    rmssd = np.sqrt((d ** 2).sum(axis=1) / (n - 1))
-    var_d = ss_d / (n - 1)
-    sd1 = np.sqrt(0.5 * var_d)
-    sd2 = np.sqrt(np.maximum(0.0, 2.0 * (ss / n) - 0.5 * var_d))
-    degenerate = (sd1 == 0.0) | (sd2 == 0.0)
-    counts = _bin_counts(ordered, n)
+    pad = np.arange(R.shape[1]) >= n[:, None]
+    # The padding repeats each row's last interval, so its differences are 0.
+    d = np.diff(R, axis=1)
+    work = np.abs(d)
+    np.divide(100.0 * np.count_nonzero(work > 20.0, axis=1), n - 1, out=cols["pNN20"])
+    np.divide(100.0 * np.count_nonzero(work > 50.0, axis=1), n - 1, out=cols["pNN50"])
+    rmssd = np.sqrt(np.square(d, out=work).sum(axis=1) / (n - 1), out=cols["RMSSD"])
+    del work
+    ss_d = _masked_ss(np.subtract(d, (d.sum(axis=1) / (n - 1))[:, None], out=d),
+                      pad[:, 1:])
+    del d
+    np.sqrt(ss_d / (n - 2), out=cols["SDSD"])
+    half_var_d = 0.5 * (ss_d / (n - 1))
+    sd1 = np.sqrt(half_var_d, out=cols["SD1"])
+    np.copyto(R, 0.0, where=pad)
+    mean = np.divide(R.sum(axis=1), n, out=cols["MeanNN"])
+    dev = R - mean[:, None]
+    ss = _masked_ss(dev, pad)
+    sdnn = np.sqrt(ss / (n - 1), out=cols["SDNN"])
+    sd2 = np.sqrt(np.maximum(0.0, 2.0 * (ss / n) - half_var_d), out=cols["SD2"])
+    np.divide(sdnn, mean, out=cols["CVNN"])
+    np.divide(rmssd, mean, out=cols["CVSD"])
+    degenerate = np.logical_or(sd1 == 0.0, sd2 == 0.0, out=cols["degenerate_poincare"])
+    _ratio(sd1, sd2, degenerate, cols["SD1SD2"])
+    _ratio(sd2, sd1, degenerate, cols["CSI"])
+    np.copyto(R, np.inf, where=pad)
+    R.sort(axis=1)
+    median = cols["MedianNN"]
+    median[:] = _sorted_median(R, n)
+    # |x - median| of the sorted rows keeps their +inf padding.
+    np.abs(np.subtract(R, median[:, None], out=dev), out=dev)
+    dev.sort(axis=1)
+    mad = np.multiply(MAD_SCALE, _sorted_median(dev, n), out=cols["MadNN"])
+    del dev
+    np.divide(mad, median, out=cols["MCVNN"])
+    np.subtract(_sorted_percentile(R, n, 0.75), _sorted_percentile(R, n, 0.25),
+                out=cols["IQRNN"])
+    cols["MinNN"][:], cols["MaxNN"][:] = R[:, 0], R[np.arange(n.size), n - 1]
+    counts = _bin_counts(R, n)
     p = counts / n[:, None]
-    return {
-        "MeanNN": mean, "SDNN": sdnn, "RMSSD": rmssd,
-        "SDSD": np.sqrt(ss_d / (n - 2)),
-        "CVNN": sdnn / mean, "CVSD": rmssd / mean,
-        "MedianNN": median, "MadNN": mad, "MCVNN": mad / median,
-        "IQRNN": (_sorted_percentile(ordered, n, 0.75)
-                  - _sorted_percentile(ordered, n, 0.25)),
-        "pNN20": 100.0 * np.count_nonzero(np.abs(d) > 20.0, axis=1) / (n - 1),
-        "pNN50": 100.0 * np.count_nonzero(np.abs(d) > 50.0, axis=1) / (n - 1),
-        "MinNN": ordered[:, 0], "MaxNN": ordered[np.arange(n.size), n - 1],
-        "SD1": sd1, "SD2": sd2,
-        "SD1SD2": _ratio(sd1, sd2, degenerate), "CSI": _ratio(sd2, sd1, degenerate),
-        "ShanEn": 0.0 - np.sum(
-            p * np.log2(p, out=np.zeros_like(p), where=counts > 0), axis=1),
-        "degenerate_poincare": degenerate,
-    }
+    np.subtract(0.0, np.sum(p * np.log2(p, out=np.zeros_like(p), where=counts > 0),
+                            axis=1), out=cols["ShanEn"])
+
+
+def _masked_ss(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of x outside `pad`; x is overwritten."""
+    np.copyto(x, 0.0, where=pad)
+    return np.square(x, out=x).sum(axis=1)
 
 
 def _sorted_median(S: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -275,13 +300,27 @@ def _bin_counts(S: np.ndarray, n: np.ndarray) -> np.ndarray:
     first, last = lo - 0.5 * (lo == hi), hi + 0.5 * (lo == hi)
     inner = (first[:, None]
              + np.arange(1, SHANEN_BINS) * ((last - first) / SHANEN_BINS)[:, None])
-    below = np.count_nonzero(S[:, None, :] < inner[:, :, None], axis=2)
-    return np.diff(below, prepend=0, append=n[:, None], axis=1)
+    # The values below each inner edge: a branchless bisection of all rows at
+    # once, whose steps do not depend on the data. `at` is the flat index of
+    # each search's base, and base + size never passes its row's end.
+    flat = S.ravel()
+    start = np.arange(0, S.size, S.shape[1])[:, None]
+    at = np.repeat(start, SHANEN_BINS - 1, axis=1)
+    size = S.shape[1]
+    while size > 1:
+        half = size // 2
+        at += half * (flat[at + half] < inner)
+        size -= half
+    below = np.zeros((n.size, SHANEN_BINS + 1), dtype=np.intp)
+    below[:, 1:-1] = at - start + (flat[at] < inner)
+    below[:, -1] = n
+    return below[:, 1:] - below[:, :-1]
 
 
 def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, powers: SegmentPowers) -> dict:
-    """Frequency-domain columns of the windows rr_ms[lo[i]:hi[i]].
+                      hi: np.ndarray, powers: SegmentPowers, cols: dict) -> None:
+    """Frequency-domain columns of the windows rr_ms[lo[i]:hi[i]], written
+    into `cols`.
 
     Each window is resampled at 4 Hz on its own grid from its first beat.
     Welch cuts that tachogram into 256-sample segments every 128 samples, or
@@ -301,15 +340,17 @@ def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
     stride = int(np.ceil((t[-1] - t[0]) / step)) + 1
     bands = powers.get(lo[win] * stride + end, lambda keys: _segment_bands(
         t, rr_ms, keys // stride, keys % stride))
-    vlf, lf, hf = (np.add.reduceat(bands, first) / n_seg[:, None]).T
-    hf_zero, no_power = hf <= 1e-12, lf + hf <= 0
-    return {
-        "VLF": vlf, "LF": lf, "HF": hf, "TP": vlf + lf + hf,
-        "LFHF": _ratio(lf, hf, hf_zero),
-        "LFn": _ratio(lf, lf + hf, no_power), "HFn": _ratio(hf, lf + hf, no_power),
-        "LnHF": np.log(hf, out=np.full_like(hf, np.nan), where=~hf_zero),
-        "hf_zero": hf_zero, "no_lf_hf_power": no_power,
-    }
+    vlf, lf, hf = (cols[name] for name in ("VLF", "LF", "HF"))
+    vlf[:], lf[:], hf[:] = (np.add.reduceat(bands, first) / n_seg[:, None]).T
+    np.add(vlf + lf, hf, out=cols["TP"])
+    hf_zero = np.less_equal(hf, 1e-12, out=cols["hf_zero"])
+    lf_hf = lf + hf
+    no_power = np.less_equal(lf_hf, 0, out=cols["no_lf_hf_power"])
+    _ratio(lf, hf, hf_zero, cols["LFHF"])
+    _ratio(lf, lf_hf, no_power, cols["LFn"])
+    _ratio(hf, lf_hf, no_power, cols["HFn"])
+    cols["LnHF"][:] = np.nan
+    np.log(hf, out=cols["LnHF"], where=~hf_zero)
 
 
 def _segment_bands(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
@@ -323,13 +364,32 @@ def _segment_bands(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
     for s in set(seg.tolist()):
         rows = np.flatnonzero(seg == s)
         t0 = t[lo[rows]]
-        k = (end[rows] - s)[:, None] + np.arange(s)
-        # np.arange(t0, t1, step) puts sample k at t0 + k * ((t0 + step) - t0).
-        freqs, power = welch_psd(
-            np.interp(t0[:, None] + k * ((t0 + step) - t0)[:, None], t, rr_ms),
-            RESAMPLE_HZ, s)
-        for j, (f_lo, f_hi) in enumerate((VLF_BAND, LF_BAND, HF_BAND)):
-            # A band with fewer than 2 bins integrates to 0.
-            band = (freqs >= f_lo) & (freqs <= f_hi)
-            bands[rows, j] = np.trapezoid(power[:, band], freqs[band], axis=-1)
+        # np.arange(t0, t1, step) puts sample k at t0 + k * ((t0 + step) - t0);
+        # one (rows, s) array holds k, then the times.
+        grid = np.arange(s, dtype=float) + (end[rows] - s)[:, None]
+        grid *= ((t0 + step) - t0)[:, None]
+        grid += t0[:, None]
+        tachogram = np.interp(grid, t, rr_ms)
+        del grid
+        bands[rows] = _band_powers(*welch_psd(tachogram, RESAMPLE_HZ, s))
     return bands
+
+
+def _band_powers(freqs: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """VLF, LF and HF power of each row of `power`: np.trapezoid over the bins
+    in each closed band (a band with fewer than 2 bins integrates to 0).
+
+    The trapezoid terms are formed as np.trapezoid forms them, but once for
+    all bands and row by row in memory, so each row is summed in the same
+    order as when it is alone: a segment's powers do not depend on the
+    segments that share its Welch call.
+    """
+    edges = np.array([VLF_BAND, LF_BAND, HF_BAND])
+    lo = np.searchsorted(freqs, edges[:, 0]).tolist()
+    hi = np.searchsorted(freqs, edges[:, 1], "right").tolist()
+    f, y = freqs[lo[0]:hi[-1]], power[:, lo[0]:hi[-1]]
+    terms = np.diff(f) * (y[:, 1:] + y[:, :-1]) / 2.0
+    out = np.empty((len(power), 3))
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        terms[:, a - lo[0]:max(a, b - 1) - lo[0]].sum(axis=1, out=out[:, j])
+    return out

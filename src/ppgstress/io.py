@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, check_seed, is_whole
+from .errors import DataError, ValidationError, check_real, check_seed, is_whole
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
@@ -81,8 +82,9 @@ class PpgTrace:
                 and not set(self.subject_id) & set(",\r\n/\\")):
             raise ValidationError(f"subject id {self.subject_id!r} must be non-empty "
                                   "and hold no ',', CR, LF, '/' or '\\'")
-        # nan fails both comparisons, so it is refused with inf.
-        if not (isinstance(self.fs, numbers.Real) and 25.0 <= self.fs < math.inf):
+        # nan fails both comparisons; inf, and an int too large for a float,
+        # fail the second.
+        if not (isinstance(self.fs, numbers.Real) and 25.0 <= self.fs <= sys.float_info.max):
             raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
                                   f"number >= 25 Hz, got {self.fs!r}")
         object.__setattr__(self, "fs", float(self.fs))
@@ -150,13 +152,16 @@ class SynthCohortSpec:
             if not (len(amps := getattr(self, name)) == 2
                     and all(map(math.isfinite, amps))):
                 raise ValidationError(f"{name} must be two finite amplitudes in ms")
-        _check_noise(self.noise_sigma)
+        object.__setattr__(self, "noise_sigma", _check_noise(self.noise_sigma))
         check_seed(self.seed)
 
 
-def _check_noise(noise_sigma) -> None:
+def _check_noise(noise_sigma) -> float:
+    """noise_sigma as a float; refused unless a real number >= 0 and finite."""
+    noise_sigma = check_real(noise_sigma, "noise_sigma")
     if not 0 <= noise_sigma < math.inf:
         raise ValidationError("noise_sigma must be >= 0 and finite")
+    return noise_sigma
 
 
 PULSE_WIDTH_S = 0.3
@@ -212,7 +217,7 @@ def synth_ppg(
     if not np.all((rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)):
         raise ValidationError(
             f"rr_plan values must lie in [{RR_MIN_MS:g}, {RR_MAX_MS:g}] ms")
-    _check_noise(noise_sigma)
+    noise_sigma = _check_noise(noise_sigma)
     check_seed(seed)
     beat_times = np.cumsum(rr) / 1000.0
     n = int(round((beat_times[-1] + PULSE_WIDTH_S) * fs))

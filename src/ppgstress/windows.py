@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import hrv, moments, pulse
 from .dsp import design_butter_bandpass, filtfilt
-from .errors import DataError, ValidationError, check_k
+from .errors import DataError, ValidationError, check_k, check_real
 from .io import Dataset, PpgTrace
 
 log = logging.getLogger(__name__)
@@ -31,10 +30,7 @@ class WindowSpec:
     def __post_init__(self):
         # Stored as floats, so that a report's config echoes them as JSON numbers.
         for name, what in (("size_s", "window size"), ("step_s", "step")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{what} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_real(getattr(self, name), what))
         # nan fails every comparison, so both checks refuse nan as well as inf.
         if not hrv.SPECTRAL_MIN_SPAN_S <= self.size_s < np.inf:
             raise ValidationError(f"window size must be finite and >= "
@@ -58,8 +54,10 @@ def segment(trace: PpgTrace, spec: WindowSpec) -> np.recarray:
         start.append(s)
         label.append(np.full(s.size, span.condition.value))
     start = np.concatenate(start)
-    return np.rec.fromarrays([start, start + spec.size_s, np.concatenate(label)],
-                             names=["start_s", "end_s", "label"])
+    wins = np.empty(start.size, [("start_s", float), ("end_s", float), ("label", int)])
+    wins["start_s"], wins["end_s"], wins["label"] = (
+        start, start + spec.size_s, np.concatenate(label))
+    return wins.view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -142,12 +140,18 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
     which a sweep shares across window sizes. Unusable windows are dropped
     (logged per reason); a subject left without both classes is an error.
     """
-    subjects, labels, starts, rows = [], [], [], []
-    for trace in ds:
+    # Plain field views: a record array's attribute lookup is slow.
+    wins = [segment(trace, spec).view(np.ndarray) for trace in ds]
+    # The matrix is allocated before any trace's temporaries. Allocated after
+    # them, it lands above their freed memory in the heap and keeps the
+    # allocator from returning that memory, which raises the peak RSS.
+    X = np.empty((sum(map(len, wins)), len(hrv.FEATURE_NAMES)))
+    labels, starts = np.empty(len(X), dtype=int), np.empty(len(X))
+    subjects = []
+    for trace, w in zip(ds, wins):
         rr, powers = ((prepared or {}).get(trace.subject_id)
                       or (prepare_trace(trace), None))
-        wins = segment(trace, spec)
-        X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s, powers)
+        rows, reasons = hrv.window_features(rr, w["start_s"], w["end_s"], powers)
         keep = ~reasons.any(axis=1)
         if not keep.all():
             # Each dropped window counts once, under its first reason.
@@ -155,15 +159,14 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
             log.info("subject %s: dropped %d unusable windows (%s)", trace.subject_id,
                      np.count_nonzero(~keep),
                      ", ".join(f"{r}: {c}" for r, c in sorted(first.items())))
-        if len(set(wins.label[keep])) < 2:
+        if len(set(w["label"][keep])) < 2:
             raise DataError(
                 f"subject {trace.subject_id} has no usable windows in both classes")
-        subjects += [trace.subject_id] * np.count_nonzero(keep)
-        labels.append(wins.label[keep])
-        starts.append(wins.start_s[keep])
-        rows.append(X[keep])
-    return FeatureMatrix(tuple(subjects), np.concatenate(labels),
-                         np.concatenate(starts), np.vstack(rows), hrv.FEATURE_NAMES)
+        at = slice(len(subjects), len(subjects) + np.count_nonzero(keep))
+        X[at], labels[at], starts[at] = rows[keep], w["label"][keep], w["start_s"][keep]
+        subjects += [trace.subject_id] * (at.stop - at.start)
+    n = len(subjects)
+    return FeatureMatrix(tuple(subjects), labels[:n], starts[:n], X[:n], hrv.FEATURE_NAMES)
 
 
 @dataclass(frozen=True)

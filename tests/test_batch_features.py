@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import scalar_hrv
 from conftest import assert_bit_equal
-from ppgstress import evaluate, hrv, io, pulse, windows
+from ppgstress import dsp, evaluate, hrv, io, pulse, windows
 
 REL = 1e-9
 # Order statistics and counts are replicated operation by operation, so
@@ -113,15 +113,26 @@ def degraded_dataset(rr: pulse.RrSeries) -> io.Dataset:
     return io.Dataset((io.PpgTrace("d1", 25.0, np.zeros(int(610 * 25)), spans),))
 
 
-def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers):
-    """`window_features` on the degraded trace at one size, with the segment
-    table given, against the scalar reference: the same refusals, flags and
-    values. Returns the windows, the reference outcomes, the rows and the
-    drop reasons."""
+def features_in_calls(rr: pulse.RrSeries, start_s, end_s, powers: hrv.SegmentPowers,
+                      batch: int | None = None):
+    """`window_features` of the windows in calls of at most `batch` windows
+    (all in one call by default), sharing `powers`; the calls' rows stacked."""
+    batch = batch or len(start_s)
+    parts = [hrv.window_features(rr, start_s[i:i + batch], end_s[i:i + batch], powers)
+             for i in range(0, len(start_s), batch)]
+    return tuple(np.vstack(arrays) for arrays in zip(*parts))
+
+
+def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers,
+                   batch: int | None = None):
+    """`window_features` on the degraded trace at one size, in calls of at
+    most `batch` windows, with the segment table given, against the scalar
+    reference: the same refusals, flags and values. Returns the windows, the
+    reference outcomes, the rows and the drop reasons."""
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)
     wins = windows.segment(ds.traces[0], spec)
-    X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s, powers)
+    X, reasons = features_in_calls(rr, wins.start_s, wins.end_s, powers, batch)
 
     outcomes = scalar_hrv.window_outcomes(rr, wins, size)
     refused = np.array([feats is None for feats, _ in outcomes])
@@ -137,13 +148,12 @@ def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers):
     return wins, outcomes, X, reasons
 
 
-# Batches of 5 split runs of refused and flagged windows at many places.
-@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
+# Calls of 5 windows split runs of refused and flagged windows at many places.
+@pytest.mark.parametrize("batch", [64, 5])
 @pytest.mark.parametrize("size", [60.0, 62.0, 80.0])
-def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
-    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
+def test_degraded_windows_match_scalar_reference(size, batch):
     rr = degraded_rr()
-    wins, outcomes, _, reasons = check_degraded(rr, size, hrv.SegmentPowers())
+    wins, outcomes, _, reasons = check_degraded(rr, size, hrv.SegmentPowers(), batch)
     firsts = Counter(reason for _, reason in outcomes)
     assert {"data_error", "too_many_rejected_intervals", "hf_zero", ""} <= set(firsts)
     # The first interval ending after 150 s still began in the random stretch.
@@ -159,22 +169,83 @@ def test_degraded_windows_match_scalar_reference(size, batch, monkeypatch):
     assert_features_match(m.X, kept)
 
 
-@pytest.mark.parametrize("batch", [hrv.BATCH_WINDOWS, 5])
-def test_degraded_sweep_shares_segments_exactly(batch, monkeypatch):
-    monkeypatch.setattr(hrv, "BATCH_WINDOWS", batch)
+@pytest.mark.parametrize("batch", [64, 5])
+def test_degraded_sweep_shares_segments_exactly(batch):
     rr = degraded_rr()
     shared, unshared = hrv.SegmentPowers(), 0
     for size in SWEEP_SIZES:
         alone = hrv.SegmentPowers()
-        X = check_degraded(rr, size, alone)[2]
-        np.testing.assert_array_equal(check_degraded(rr, size, shared)[2], X)
+        X = check_degraded(rr, size, alone, batch)[2]
+        np.testing.assert_array_equal(check_degraded(rr, size, shared, batch)[2], X)
         unshared += alone.keys.size
     assert shared.keys.size < unshared
     # A second pass finds every segment in the table.
     held = shared.keys.copy()
     for size in SWEEP_SIZES:
-        check_degraded(rr, size, shared)
+        check_degraded(rr, size, shared, batch)
     np.testing.assert_array_equal(shared.keys, held)
+
+
+SPECTRAL = [i for i, (_, domain, _, _) in enumerate(hrv.CATALOG) if domain == "frequency"]
+
+
+def assert_grouping_free(rr: pulse.RrSeries, wins):
+    """One `window_features` call over all windows against calls of 1, 5 and
+    64 windows, each grouping with its own segment table, so that each
+    computes its segments in different Welch calls. Reasons and spectral
+    columns are bit-equal. The other columns agree within REL: their sums run
+    over rows padded to the longest window of the call, and the padded
+    length changes how a pairwise sum groups its terms."""
+    X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s)
+    for batch in (1, 5, 64):
+        got_X, got_reasons = features_in_calls(rr, wins.start_s, wins.end_s,
+                                               hrv.SegmentPowers(), batch)
+        assert_bit_equal(got_reasons, reasons)
+        assert_bit_equal(got_X[:, SPECTRAL], X[:, SPECTRAL])
+        assert_features_match(got_X, X)
+
+
+@pytest.mark.parametrize("size", [60.0, 62.0, 80.0, 120.0])
+def test_degraded_features_do_not_depend_on_call_grouping(size):
+    rr = degraded_rr()
+    trace = degraded_dataset(rr).traces[0]
+    assert_grouping_free(rr, windows.segment(trace, windows.WindowSpec(size, 5.0)))
+
+
+@pytest.mark.parametrize("size", [60.0, 100.0])
+def test_cohort_features_do_not_depend_on_call_grouping(cohort16, prepared16, size):
+    trace = cohort16.traces[0]
+    assert_grouping_free(prepared16[trace.subject_id],
+                         windows.segment(trace, windows.WindowSpec(size, 5.0)))
+
+
+def test_segment_bands_do_not_depend_on_shared_segments():
+    # The segment of the degraded trace that starts on beat 401 and ends at
+    # tachogram sample 222 got HF ...605 instead of ...607 when another
+    # 222-sample segment shared its Welch call.
+    rr = degraded_rr()
+    t, rr_ms = rr.rr_times_s, rr.rr_ms
+    alone = hrv._segment_bands(t, rr_ms, np.array([401]), np.array([222]))
+    assert alone[0, 2] == 8842.176539761607
+    for other in (0, 120, 450):
+        shared = hrv._segment_bands(t, rr_ms, np.array([other, 401]), np.array([222, 222]))
+        assert_bit_equal(shared[1], alone[0])
+
+
+@pytest.mark.parametrize("length", [222, 240, 256])
+def test_band_powers_of_a_stack_are_each_row_alone(length):
+    rng = np.random.default_rng(length)
+    tach = 800.0 + np.cumsum(rng.normal(0.0, 15.0, (8, length)), axis=1)
+    freqs, power = dsp.welch_psd(tach, hrv.RESAMPLE_HZ, length)
+    alone = [hrv._band_powers(freqs, power[i:i + 1])[0] for i in range(8)]
+    for i, row in enumerate(alone):
+        # Each band is np.trapezoid of its bins.
+        want = [np.trapezoid(power[i, band], freqs[band]) for band in (
+            (freqs >= f_lo) & (freqs <= f_hi)
+            for f_lo, f_hi in (hrv.VLF_BAND, hrv.LF_BAND, hrv.HF_BAND))]
+        assert_bit_equal(row, np.array(want))
+    for rows in range(1, 9):
+        assert_bit_equal(hrv._band_powers(freqs, power[:rows]), np.array(alone[:rows]))
 
 
 def test_build_matrix_logs_drop_reasons(caplog):

@@ -33,6 +33,33 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             evaluate.metrics([1], [1, 0])
 
+    @pytest.mark.parametrize("y_true,y_pred,shown", [([2, 0], [1, 0], "2"),
+                                                     ([1, 0], [1, -1], "-1"),
+                                                     ([1], [0.5], "0.5")])
+    def test_labels_outside_zero_one_refused(self, y_true, y_pred, shown):
+        # The counts come from one bincount over 2 * y_true + y_pred.
+        with pytest.raises(ValidationError, match=f"^labels must be 0 or 1, got {shown}$"):
+            evaluate.metrics(y_true, y_pred)
+
+    def test_bool_and_float_labels(self):
+        acc, conf = evaluate.metrics([True, False, True], [1.0, 1.0, 0.0])
+        assert acc == 1 / 3
+        assert conf == {"tp": 1, "tn": 0, "fp": 1, "fn": 1}
+
+    def test_fold_metrics_are_each_fold_alone(self):
+        rng = np.random.default_rng(5)
+        sizes = [1, 7, 3, 40, 2]
+        y_true, y_pred = rng.integers(0, 2, (2, sum(sizes)))
+        want = []
+        for t, p in zip(np.split(y_true, np.cumsum(sizes)[:-1]),
+                        np.split(y_pred, np.cumsum(sizes)[:-1])):
+            want.append((float(np.mean(t == p)), {
+                "tp": int(np.sum((t == 1) & (p == 1))), "tn": int(np.sum((t == 0) & (p == 0))),
+                "fp": int(np.sum((t == 0) & (p == 1))), "fn": int(np.sum((t == 1) & (p == 0)))}))
+        got = evaluate._fold_metrics(y_true, y_pred, sizes)
+        assert got == want
+        assert [list(conf) for _, conf in got] == [["tp", "tn", "fp", "fn"]] * len(sizes)
+
 
 class TestLoso:
     def test_planted_cohort_high_accuracy(self, matrix16):

@@ -30,6 +30,14 @@ class TestTypes:
     def test_fs_stored_as_float(self):
         assert type(io.PpgTrace("s1", np.int64(100), np.zeros(100)).fs) is float
 
+    # A whole number too large for a float passed the range check, and the
+    # float() that stores it raised a bare OverflowError.
+    @pytest.mark.parametrize("fs", [10 ** 400, -10 ** 400], ids=["huge", "-huge"])
+    def test_fs_too_large_for_a_float_refused(self, fs):
+        with pytest.raises(ValidationError, match=r"^subject s1: fs must be a finite "
+                           r"number >= 25 Hz, got "):
+            io.PpgTrace("s1", fs, np.zeros(100))
+
     def test_nonfinite_samples(self):
         with pytest.raises(ValidationError, match="non-finite"):
             io.PpgTrace("s1", 100.0, np.array([1.0, np.nan]))
@@ -117,6 +125,18 @@ class TestSynthPpg:
     @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
     def test_bad_noise_sigma_refused(self, value):
         with pytest.raises(ValidationError, match="^noise_sigma must be >= 0 and finite$"):
+            io.synth_ppg([800.0] * 10, 100.0, noise_sigma=value)
+
+    # True was a sigma of 1, "0.1" raised a bare TypeError and 10 ** 400 a bare
+    # OverflowError.
+    @pytest.mark.parametrize("value,shown", [
+        (True, "noise_sigma must be a real number, got True"),
+        ("0.1", "noise_sigma must be a real number, got '0.1'"),
+        (None, "noise_sigma must be a real number, got None"),
+        (10 ** 400, "noise_sigma must be >= 0 and finite")],
+        ids=["bool", "str", "none", "huge"])
+    def test_noise_sigma_not_a_finite_real_refused(self, value, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
             io.synth_ppg([800.0] * 10, 100.0, noise_sigma=value)
 
 
@@ -274,6 +294,20 @@ class TestSynthCohort:
     def test_noise_sigma_finite(self, value):
         with pytest.raises(ValidationError, match="noise_sigma must be >= 0 and finite"):
             io.SynthCohortSpec(noise_sigma=value)
+
+    @pytest.mark.parametrize("value,shown", [
+        (True, "noise_sigma must be a real number, got True"),
+        ("0.1", "noise_sigma must be a real number, got '0.1'"),
+        (10 ** 400, "noise_sigma must be >= 0 and finite")],
+        ids=["bool", "str", "huge"])
+    def test_noise_sigma_not_a_finite_real_refused(self, value, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            io.SynthCohortSpec(noise_sigma=value)
+
+    @pytest.mark.parametrize("value", [0, np.int64(1), np.float32(0.5)])
+    def test_noise_sigma_stored_as_float(self, value):
+        spec = io.SynthCohortSpec(noise_sigma=value)
+        assert type(spec.noise_sigma) is float and spec.noise_sigma == value
 
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1, True])
     def test_n_subjects_whole_number(self, value):

@@ -38,6 +38,17 @@ class TestWindowSpec:
         with pytest.raises(ValidationError, match=shown):
             windows.WindowSpec(size, step)
 
+    # A whole number too large for a float passed the real-number check, and
+    # the float() that stores it raised a bare OverflowError.
+    @pytest.mark.parametrize("size,step,shown", [
+        (10 ** 400, 5.0, "window size must be finite and >= 60 s, got inf"),
+        (-10 ** 400, 5.0, "window size must be finite and >= 60 s, got -inf"),
+        (80.0, 10 ** 400, r"step must be in \(0, size\], got inf")],
+        ids=["size-huge", "size-minus-huge", "step-huge"])
+    def test_too_large_for_a_float_refused(self, size, step, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            windows.WindowSpec(size, step)
+
     @pytest.mark.parametrize("size,step", [(np.int64(80), 5), (np.float32(80.0), 5.0),
                                            (80, np.float32(5.0))])
     def test_stored_as_float(self, size, step):
