@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import hrv, models, moments
+from . import models, moments
 from .errors import DataError, ValidationError, check_k, check_seed
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
@@ -164,10 +164,10 @@ def window_echo(spec: WindowSpec) -> dict:
 def loso_reports(ds: Dataset, specs: list[WindowSpec], model_kinds: list[str], k: int,
                  seed: int) -> list[CvReport]:
     """Strict LOSO of each model kind at each window spec, reports spec by spec.
-    Each trace is prepared once and shares its Welch segments across the specs
-    (`hrv.SegmentPowers`); each spec's matrix is freed before the next is built."""
+    Each trace is prepared once, so its RrSeries' Welch segment table serves
+    every spec; each spec's matrix is freed before the next is built."""
     check_run(k, model_kinds, seed)
-    prepared = {t.subject_id: (prepare_trace(t), hrv.SegmentPowers()) for t in ds}
+    prepared = {t.subject_id: prepare_trace(t) for t in ds}
     reports = []
     for spec in specs:
         matrix = build_matrix(ds, spec, prepared)

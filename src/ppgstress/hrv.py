@@ -9,7 +9,7 @@ import numpy as np
 
 from .dsp import welch_hop, welch_psd
 from .errors import DataError
-from .pulse import RrSeries, window_bounds
+from .pulse import RrSeries, SegmentPowers, window_bounds  # noqa: F401
 
 CATALOG_VERSION = "1"
 
@@ -76,38 +76,7 @@ class WindowFeatures:
         return not self.flags
 
 
-class SegmentPowers:
-    """VLF, LF and HF power of the Welch segments of one RR series' window
-    tachograms, by segment key, kept across `window_features` calls.
-
-    A segment's key is its first beat and its end sample: windows that start
-    on the same beat share their tachogram's samples. A sweep that passes one
-    table per series to every window size computes each segment once.
-    """
-
-    def __init__(self):
-        self.keys = np.empty(0, dtype=np.intp)
-        self.bands = np.empty((0, 3))
-
-    def get(self, keys: np.ndarray, compute) -> np.ndarray:
-        """The rows of `keys`; the keys not yet held are added first, with
-        `compute(new)` giving the rows of the sorted array `new`."""
-        at = np.searchsorted(self.keys, keys)
-        # Keys are >= 0: a key past the last held one meets the -1.
-        held = np.append(self.keys, -1)[at] == keys
-        if not held.all():
-            # Not np.unique, whose first call imports numpy.ma (~1 MB).
-            new = np.fromiter(sorted(set(keys[~held].tolist())), np.intp)
-            order = np.argsort(all_keys := np.concatenate([self.keys, new]))
-            self.keys = all_keys[order]
-            self.bands = np.concatenate([self.bands, compute(new)])[order]
-            at = np.searchsorted(self.keys, keys)
-        return self.bands[at]
-
-
-def window_features(rr: RrSeries, start_s, end_s,
-                    powers: SegmentPowers | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def window_features(rr: RrSeries, start_s, end_s) -> tuple[np.ndarray, np.ndarray]:
     """Catalog rows of the windows [start_s[i], end_s[i]) of one RR series; a
     window holds the intervals whose terminating peak lies in it (`window_bounds`).
     Scalar times are one window.
@@ -117,10 +86,9 @@ def window_features(rr: RrSeries, start_s, end_s,
     applies to window i. A window is refused with fewer than 20 intervals;
     the rejected intervals it holds count towards the rejected fraction.
     Spans under 60 s are refused before this, by `WindowSpec` and by
-    `all_features`. `powers` is the series' table of Welch segments, to
-    share with later calls; a fresh one by default.
+    `all_features`. Welch segments are read from, or added to, the series'
+    own table (`rr.powers`), so later calls on the series reuse them.
     """
-    powers = SegmentPowers() if powers is None else powers
     start_s, end_s = np.atleast_1d(start_s, end_s)
     (lo, hi), (j0, j1) = (window_bounds(times, start_s, end_s)
                           for times in (rr.rr_times_s, rr.rejected_times_s))
@@ -136,7 +104,7 @@ def window_features(rr: RrSeries, start_s, end_s,
         # its large temporaries in the heap.
         rows, flags = X[ok], reasons[ok]
         cols = _columns(rows, flags)
-        _spectral_columns(rr.rr_times_s, rr.rr_ms, lo, hi, powers, cols)
+        _spectral_columns(rr, lo, hi, cols)
         # Rows padded with their last interval.
         at = lo[:, None] + np.arange(n.max())
         _rr_columns(rr.rr_ms[np.minimum(at, hi[:, None] - 1, out=at)], n, cols)
@@ -190,8 +158,7 @@ def frequency_domain(rr: RrSeries, window_span_s: float) -> WindowFeatures:
     that span.
     """
     _refuse(rr, window_span_s)
-    _spectral_columns(rr.rr_times_s, rr.rr_ms, np.array([0]), np.array([rr.rr_ms.size]),
-                      SegmentPowers(), cols := _one_row())
+    _spectral_columns(rr, np.array([0]), np.array([rr.rr_ms.size]), cols := _one_row())
     return _one(cols, "frequency")
 
 
@@ -317,18 +284,17 @@ def _bin_counts(S: np.ndarray, n: np.ndarray) -> np.ndarray:
     return below[:, 1:] - below[:, :-1]
 
 
-def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, powers: SegmentPowers, cols: dict) -> None:
-    """Frequency-domain columns of the windows rr_ms[lo[i]:hi[i]], written
-    into `cols`.
+def _spectral_columns(rr: RrSeries, lo: np.ndarray, hi: np.ndarray, cols: dict) -> None:
+    """Frequency-domain columns of the windows rr.rr_ms[lo[i]:hi[i]], into `cols`.
 
     Each window is resampled at 4 Hz on its own grid from its first beat.
     Welch cuts that tachogram into 256-sample segments every 128 samples, or
     takes it whole when it is shorter, and removes each segment's own mean;
     the window mean is not removed first. A segment's band powers therefore
     depend only on its key (see `SegmentPowers`), and a window's are the mean
-    of its segments', taken from `powers` or computed and added to it.
+    of its segments', taken from the series' table or computed and added to it.
     """
+    t, rr_ms = rr.rr_times_s, rr.rr_ms
     step = 1.0 / RESAMPLE_HZ
     length = np.ceil((t[hi - 1] - t[lo]) / step).astype(np.intp)
     seg = np.minimum(WELCH_SEGMENT, length)
@@ -338,7 +304,7 @@ def _spectral_columns(t: np.ndarray, rr_ms: np.ndarray, lo: np.ndarray,
     end = seg[win] + (np.arange(win.size) - first[win]) * welch_hop(WELCH_SEGMENT)
     # No window's tachogram is longer than the whole series'.
     stride = int(np.ceil((t[-1] - t[0]) / step)) + 1
-    bands = powers.get(lo[win] * stride + end, lambda keys: _segment_bands(
+    bands = rr.powers.get(lo[win] * stride + end, lambda keys: _segment_bands(
         t, rr_ms, keys // stride, keys % stride))
     vlf, lf, hf = (cols[name] for name in ("VLF", "LF", "HF"))
     vlf[:], lf[:], hf[:] = (np.add.reduceat(bands, first) / n_seg[:, None]).T

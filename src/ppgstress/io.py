@@ -64,8 +64,12 @@ class SudsRating:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.value <= 100:
+        value = check_real(self.value, "SUDs")
+        if not value.is_integer():  # nan and inf included
+            raise ValidationError(f"SUDs must be a whole number, got {self.value!r}")
+        if not 0 <= value <= 100:
             raise ValidationError(f"SUDs out of [0,100]: {self.value}")
+        object.__setattr__(self, "value", int(value))
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,9 @@ class PpgTrace:
                                   f"number >= 25 Hz, got {self.fs!r}")
         object.__setattr__(self, "fs", float(self.fs))
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        if self.samples.ndim != 1:
+            raise ValidationError(f"subject {self.subject_id}: PPG samples must be "
+                                  f"1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError(f"subject {self.subject_id}: non-finite PPG samples")
         dur = self.duration_s
@@ -373,7 +380,7 @@ def _rating(time: str, value: str) -> SudsRating:
         raise ValidationError(f"SUDs time must be finite, got {time!r}")
     if not v.is_integer():  # nan and inf included
         raise ValidationError(f"SUDs must be a whole number, got {value!r}")
-    return SudsRating(time_s, int(v))
+    return SudsRating(time_s, v)
 
 
 def load_dataset(manifest_path) -> Dataset:

@@ -21,14 +21,43 @@ RR_MIN_MS = 300.0
 RR_MAX_MS = 2000.0
 
 
+class SegmentPowers:
+    """VLF, LF and HF power of the Welch segments of one RR series' window
+    tachograms, by segment key: its first beat and its end sample. Windows that
+    start on the same beat share their tachogram's samples, so a window-size
+    sweep over one series (`RrSeries.powers`) computes each segment once."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.intp)
+        self.bands = np.empty((0, 3))
+
+    def get(self, keys: np.ndarray, compute) -> np.ndarray:
+        """The rows of `keys`; the keys not yet held are added first, with
+        `compute(new)` giving the rows of the sorted array `new`."""
+        at = np.searchsorted(self.keys, keys)
+        # Keys are >= 0: a key past the last held one meets the -1.
+        held = np.append(self.keys, -1)[at] == keys
+        if not held.all():
+            # Not np.unique, whose first call imports numpy.ma (~1 MB).
+            new = np.fromiter(sorted(set(keys[~held].tolist())), np.intp)
+            order = np.argsort(all_keys := np.concatenate([self.keys, new]))
+            self.keys = all_keys[order]
+            self.bands = np.concatenate([self.bands, compute(new)])[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.bands[at]
+
+
 @dataclass(frozen=True)
 class RrSeries:
-    """Screened RR intervals with the peak times they came from."""
+    """Screened RR intervals with the peak times they came from. Each instance
+    gets a fresh Welch segment table, since its keys name this series' beats."""
 
     peak_times_s: np.ndarray
     rr_ms: np.ndarray
     rr_times_s: np.ndarray  # terminating peak time of each retained interval
     rejected_times_s: np.ndarray = field(default_factory=lambda: np.empty(0))
+    powers: SegmentPowers = field(default_factory=SegmentPowers, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.peak_times_s) <= 0):

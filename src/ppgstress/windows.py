@@ -131,14 +131,13 @@ def prepare_trace(trace: PpgTrace) -> pulse.RrSeries:
 
 
 def build_matrix(ds: Dataset, spec: WindowSpec,
-                 prepared: dict[str, tuple[pulse.RrSeries, hrv.SegmentPowers]]
-                 | None = None) -> FeatureMatrix:
+                 prepared: dict[str, pulse.RrSeries] | None = None) -> FeatureMatrix:
     """filtfilt -> peaks -> RR -> HRV features of all windows, one
     `hrv.window_features` call per trace.
 
-    `prepared` maps a subject to its RrSeries and its table of Welch segments,
-    which a sweep shares across window sizes. Unusable windows are dropped
-    (logged per reason); a subject left without both classes is an error.
+    `prepared` maps a subject to its RrSeries: a sweep passes the same series to
+    every size, and so shares each one's Welch segments. Unusable windows are
+    dropped (logged per reason); a subject left without both classes is an error.
     """
     # Plain field views: a record array's attribute lookup is slow.
     wins = [segment(trace, spec).view(np.ndarray) for trace in ds]
@@ -149,9 +148,8 @@ def build_matrix(ds: Dataset, spec: WindowSpec,
     labels, starts = np.empty(len(X), dtype=int), np.empty(len(X))
     subjects = []
     for trace, w in zip(ds, wins):
-        rr, powers = ((prepared or {}).get(trace.subject_id)
-                      or (prepare_trace(trace), None))
-        rows, reasons = hrv.window_features(rr, w["start_s"], w["end_s"], powers)
+        rr = (prepared or {}).get(trace.subject_id) or prepare_trace(trace)
+        rows, reasons = hrv.window_features(rr, w["start_s"], w["end_s"])
         keep = ~reasons.any(axis=1)
         if not keep.all():
             # Each dropped window counts once, under its first reason.

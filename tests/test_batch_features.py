@@ -6,6 +6,7 @@ pass. They must keep the same rows, drop windows for the same reasons and
 agree on every feature.
 """
 
+import dataclasses
 import logging
 from collections import Counter
 
@@ -78,7 +79,7 @@ def test_cohort_matches_scalar_reference(cohort16, prepared16, sweep16, size):
     assert_features_match(m.X, X)
     # Segments shared with other sizes change no bit of a size's matrix.
     alone = windows.build_matrix(cohort16, spec, {
-        sid: (rr, hrv.SegmentPowers()) for sid, rr in prepared16.items()})
+        sid: dataclasses.replace(rr) for sid, rr in prepared16.items()})
     np.testing.assert_array_equal(m.X, alone.X)
     np.testing.assert_array_equal(m.starts, alone.starts)
 
@@ -113,26 +114,25 @@ def degraded_dataset(rr: pulse.RrSeries) -> io.Dataset:
     return io.Dataset((io.PpgTrace("d1", 25.0, np.zeros(int(610 * 25)), spans),))
 
 
-def features_in_calls(rr: pulse.RrSeries, start_s, end_s, powers: hrv.SegmentPowers,
-                      batch: int | None = None):
+def features_in_calls(rr: pulse.RrSeries, start_s, end_s, batch: int | None = None):
     """`window_features` of the windows in calls of at most `batch` windows
-    (all in one call by default), sharing `powers`; the calls' rows stacked."""
+    (all in one call by default), sharing the series' segment table; the
+    calls' rows stacked."""
     batch = batch or len(start_s)
-    parts = [hrv.window_features(rr, start_s[i:i + batch], end_s[i:i + batch], powers)
+    parts = [hrv.window_features(rr, start_s[i:i + batch], end_s[i:i + batch])
              for i in range(0, len(start_s), batch)]
     return tuple(np.vstack(arrays) for arrays in zip(*parts))
 
 
-def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers,
-                   batch: int | None = None):
+def check_degraded(rr: pulse.RrSeries, size: float, batch: int | None = None):
     """`window_features` on the degraded trace at one size, in calls of at
-    most `batch` windows, with the segment table given, against the scalar
+    most `batch` windows, with the series' segment table, against the scalar
     reference: the same refusals, flags and values. Returns the windows, the
     reference outcomes, the rows and the drop reasons."""
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)
     wins = windows.segment(ds.traces[0], spec)
-    X, reasons = features_in_calls(rr, wins.start_s, wins.end_s, powers, batch)
+    X, reasons = features_in_calls(rr, wins.start_s, wins.end_s, batch)
 
     outcomes = scalar_hrv.window_outcomes(rr, wins, size)
     refused = np.array([feats is None for feats, _ in outcomes])
@@ -153,7 +153,7 @@ def check_degraded(rr: pulse.RrSeries, size: float, powers: hrv.SegmentPowers,
 @pytest.mark.parametrize("size", [60.0, 62.0, 80.0])
 def test_degraded_windows_match_scalar_reference(size, batch):
     rr = degraded_rr()
-    wins, outcomes, _, reasons = check_degraded(rr, size, hrv.SegmentPowers(), batch)
+    wins, outcomes, _, reasons = check_degraded(rr, size, batch)
     firsts = Counter(reason for _, reason in outcomes)
     assert {"data_error", "too_many_rejected_intervals", "hf_zero", ""} <= set(firsts)
     # The first interval ending after 150 s still began in the random stretch.
@@ -163,7 +163,7 @@ def test_degraded_windows_match_scalar_reference(size, batch):
 
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(size, 5.0)
-    m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
+    m = windows.build_matrix(ds, spec, prepared={"d1": dataclasses.replace(rr)})
     kept, starts, _ = scalar_rows(ds, spec, {"d1": rr})
     np.testing.assert_array_equal(m.starts, starts)
     assert_features_match(m.X, kept)
@@ -171,19 +171,58 @@ def test_degraded_windows_match_scalar_reference(size, batch):
 
 @pytest.mark.parametrize("batch", [64, 5])
 def test_degraded_sweep_shares_segments_exactly(batch):
-    rr = degraded_rr()
-    shared, unshared = hrv.SegmentPowers(), 0
+    shared, unshared = degraded_rr(), 0
     for size in SWEEP_SIZES:
-        alone = hrv.SegmentPowers()
-        X = check_degraded(rr, size, alone, batch)[2]
-        np.testing.assert_array_equal(check_degraded(rr, size, shared, batch)[2], X)
-        unshared += alone.keys.size
-    assert shared.keys.size < unshared
+        alone = dataclasses.replace(shared)
+        X = check_degraded(alone, size, batch)[2]
+        np.testing.assert_array_equal(check_degraded(shared, size, batch)[2], X)
+        unshared += alone.powers.keys.size
+    assert shared.powers.keys.size < unshared
     # A second pass finds every segment in the table.
-    held = shared.keys.copy()
+    held = shared.powers.keys.copy()
     for size in SWEEP_SIZES:
-        check_degraded(rr, size, shared, batch)
-    np.testing.assert_array_equal(shared.keys, held)
+        check_degraded(shared, size, batch)
+    np.testing.assert_array_equal(shared.powers.keys, held)
+
+
+def test_each_prepared_series_owns_a_fresh_table(cohort16):
+    trace = cohort16.traces[0]
+    first, second = windows.prepare_trace(trace), windows.prepare_trace(trace)
+    assert first.powers is not second.powers
+    hrv.window_features(first, [0.0], [120.0])
+    assert first.powers.keys.size and not second.powers.keys.size
+
+
+def test_replace_and_slice_give_fresh_tables():
+    rr = degraded_rr()
+    hrv.window_features(rr, [0.0], [120.0])
+    copy, part = dataclasses.replace(rr), pulse.slice_window(rr, 0.0, 300.0)
+    for other in (copy, part):
+        assert other.powers is not rr.powers and other.powers.keys.size == 0
+    # The table is neither compared nor shown.
+    assert copy == rr and "powers" not in repr(rr)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_interleaved_subjects_match_each_alone(cohort16, prepared16, flip):
+    # Two subjects' series filled by alternating calls, in either order, give
+    # the rows of each series built alone, and those of the per-window
+    # reference, which keeps no segment table.
+    traces = cohort16.traces[:2][::-1] if flip else cohort16.traces[:2]
+    series = {t.subject_id: dataclasses.replace(prepared16[t.subject_id])
+              for t in traces}
+    for size in SWEEP_SIZES:
+        spec = windows.WindowSpec(size, 5.0)
+        for trace in traces:
+            wins = windows.segment(trace, spec)
+            alone = dataclasses.replace(prepared16[trace.subject_id])
+            X, reasons = hrv.window_features(series[trace.subject_id], wins.start_s,
+                                             wins.end_s)
+            want_X, want_reasons = hrv.window_features(alone, wins.start_s, wins.end_s)
+            assert_bit_equal(X, want_X)
+            assert_bit_equal(reasons, want_reasons)
+            kept = scalar_rows(io.Dataset((trace,)), spec, prepared16)[0]
+            assert_features_match(X[~reasons.any(axis=1)], kept)
 
 
 SPECTRAL = [i for i, (_, domain, _, _) in enumerate(hrv.CATALOG) if domain == "frequency"]
@@ -196,10 +235,10 @@ def assert_grouping_free(rr: pulse.RrSeries, wins):
     columns are bit-equal. The other columns agree within REL: their sums run
     over rows padded to the longest window of the call, and the padded
     length changes how a pairwise sum groups its terms."""
-    X, reasons = hrv.window_features(rr, wins.start_s, wins.end_s)
+    X, reasons = hrv.window_features(dataclasses.replace(rr), wins.start_s, wins.end_s)
     for batch in (1, 5, 64):
-        got_X, got_reasons = features_in_calls(rr, wins.start_s, wins.end_s,
-                                               hrv.SegmentPowers(), batch)
+        got_X, got_reasons = features_in_calls(dataclasses.replace(rr), wins.start_s,
+                                               wins.end_s, batch)
         assert_bit_equal(got_reasons, reasons)
         assert_bit_equal(got_X[:, SPECTRAL], X[:, SPECTRAL])
         assert_features_match(got_X, X)
@@ -253,7 +292,7 @@ def test_build_matrix_logs_drop_reasons(caplog):
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(62.0, 5.0)
     with caplog.at_level(logging.INFO, logger="ppgstress.windows"):
-        m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
+        m = windows.build_matrix(ds, spec, prepared={"d1": dataclasses.replace(rr)})
     _, _, reasons = scalar_rows(ds, spec, {"d1": rr})
     dropped = Counter(r for r in reasons if r)
     assert m.n_rows == len(reasons) - sum(dropped.values())
@@ -268,10 +307,10 @@ def test_build_matrix_keeps_only_finite_rows():
     rr = degraded_rr()
     ds = degraded_dataset(rr)
     spec = windows.WindowSpec(62.0, 5.0)
-    X, reasons = check_degraded(rr, 62.0, hrv.SegmentPowers())[2:]
+    X, reasons = check_degraded(dataclasses.replace(rr), 62.0)[2:]
     finite = np.isfinite(X).all(axis=1)
     assert not finite.all() and reasons[~finite].any(axis=1).all()
-    m = windows.build_matrix(ds, spec, prepared={"d1": (rr, hrv.SegmentPowers())})
+    m = windows.build_matrix(ds, spec, prepared={"d1": dataclasses.replace(rr)})
     assert np.isfinite(m.X).all()
     assert m.n_rows == np.count_nonzero(~reasons.any(axis=1))
 

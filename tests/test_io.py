@@ -42,6 +42,14 @@ class TestTypes:
         with pytest.raises(ValidationError, match="non-finite"):
             io.PpgTrace("s1", 100.0, np.array([1.0, np.nan]))
 
+    # Samples of shape (n, 2) or (n, 1) were accepted, and build_matrix then
+    # failed on a broadcast and save_dataset on a list.
+    @pytest.mark.parametrize("shape", [(100, 2), (100, 1)])
+    def test_samples_not_1d_refused(self, shape):
+        with pytest.raises(ValidationError, match=rf"^subject s1: PPG samples must be "
+                           rf"1-D, got shape {re.escape(str(shape))}$"):
+            io.PpgTrace("s1", 100.0, np.zeros(shape))
+
     def test_span_ordering(self):
         spans = (io.ConditionSpan(0, 10, io.Condition.RELAXING),
                  io.ConditionSpan(5, 15, io.Condition.STRESSFUL))
@@ -56,6 +64,22 @@ class TestTypes:
     def test_suds_range(self):
         with pytest.raises(ValidationError, match=r"SUDs out of \[0,100\]"):
             io.SudsRating(0.0, 120)
+
+    # A bool or a fraction was accepted and saved, and the loader then
+    # refused the file; a string failed the range check with a TypeError.
+    @pytest.mark.parametrize("value,problem", [
+        (50.5, "SUDs must be a whole number, got 50.5"),
+        (math.nan, "SUDs must be a whole number, got nan"),
+        (True, "SUDs must be a real number, got True"),
+        ("50", "SUDs must be a real number, got '50'"),
+    ])
+    def test_suds_not_whole_refused(self, value, problem):
+        with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
+            io.SudsRating(120.0, value)
+
+    def test_whole_suds_stored_as_int(self):
+        for value in (50.0, np.int64(50), np.float64(50.0)):
+            assert type(io.SudsRating(120.0, value).value) is int
 
     @pytest.mark.parametrize("sid", ["", "S,01", "S\r01", "S\n01", "../x", "a/b",
                                      "a\\b", None, 7])
@@ -340,6 +364,14 @@ class TestRoundTrip:
             for sa, sb in zip(a.annotations, b.annotations):
                 assert sa.condition == sb.condition
                 assert sa.start_s == pytest.approx(sb.start_s, rel=1e-9)
+
+    def test_whole_float_suds_round_trip(self, tmp_path):
+        spans = (io.ConditionSpan(0.0, 1.0, io.Condition.RELAXING),)
+        ds = io.Dataset((io.PpgTrace("s1", 100.0, np.zeros(200), spans,
+                                     (io.SudsRating(0.5, 50.0),)),))
+        back = io.load_dataset(io.save_dataset(ds, tmp_path))
+        assert (tmp_path / "s1_suds.csv").read_text() == "time_s,value\n0.5,50\n"
+        assert back.traces[0].suds == ds.traces[0].suds == (io.SudsRating(0.5, 50),)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
