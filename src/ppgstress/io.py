@@ -49,6 +49,11 @@ class ConditionSpan:
     condition: Condition
 
     def __post_init__(self):
+        if not isinstance(self.condition, Condition):
+            raise ValidationError("span condition must be Condition.RELAXING or "
+                                  f"Condition.STRESSFUL, got {self.condition!r}")
+        object.__setattr__(self, "start_s", check_real(self.start_s, "span start"))
+        object.__setattr__(self, "end_s", check_real(self.end_s, "span end"))
         if not self.end_s > self.start_s:
             raise ValidationError(
                 f"condition span must have end > start, got [{self.start_s}, {self.end_s}]"
@@ -64,6 +69,10 @@ class SudsRating:
     value: int
 
     def __post_init__(self):
+        time_s = check_real(self.time_s, "SUDs time")
+        if not math.isfinite(time_s):
+            raise ValidationError(f"SUDs time must be finite, got {self.time_s!r}")
+        object.__setattr__(self, "time_s", time_s)
         value = check_real(self.value, "SUDs")
         if not value.is_integer():  # nan and inf included
             raise ValidationError(f"SUDs must be a whole number, got {self.value!r}")
@@ -92,12 +101,21 @@ class PpgTrace:
             raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
                                   f"number >= 25 Hz, got {self.fs!r}")
         object.__setattr__(self, "fs", float(self.fs))
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples)
+        if np.iscomplexobj(samples):
+            raise ValidationError(f"subject {self.subject_id}: PPG samples must be "
+                                  f"real, got dtype {samples.dtype}")
+        object.__setattr__(self, "samples", samples.astype(float, copy=False))
         if self.samples.ndim != 1:
             raise ValidationError(f"subject {self.subject_id}: PPG samples must be "
                                   f"1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError(f"subject {self.subject_id}: non-finite PPG samples")
+        for what, items, kind in (("annotations", self.annotations, ConditionSpan),
+                                  ("SUDs ratings", self.suds, SudsRating)):
+            if bad := [x for x in items if not isinstance(x, kind)]:
+                raise ValidationError(f"subject {self.subject_id}: {what} must be "
+                                      f"{kind.__name__}s, got {bad[0]!r}")
         dur = self.duration_s
         prev_end = 0.0
         for span in self.annotations:
@@ -123,6 +141,8 @@ class Dataset:
     def __post_init__(self):
         if not self.traces:
             raise ValidationError("dataset has no traces")
+        if bad := [t for t in self.traces if not isinstance(t, PpgTrace)]:
+            raise ValidationError(f"dataset traces must be PpgTraces, got {bad[0]!r}")
         ids = [t.subject_id for t in self.traces]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate subject ids in dataset: {ids}")
@@ -152,8 +172,10 @@ class SynthCohortSpec:
             raise ValidationError(f"n_subjects must be a whole number >= 1, "
                                   f"got {self.n_subjects!r}")
         for name in ("fs", "span_s", "relaxed_hr", "stressed_hr"):
-            if not 0 < getattr(self, name) < math.inf:
+            value = check_real(getattr(self, name), name)
+            if not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, value)
         # plan_rr would clip a nan interval to RR_MIN_MS without complaint.
         for name in ("relaxed_hrv", "stressed_hrv"):
             if not (len(amps := getattr(self, name)) == 2

@@ -1,6 +1,12 @@
 import argparse
+import csv
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,14 +286,105 @@ class TestSuds:
         assert err.startswith("error: subject S01: fs must be a finite number >= 25 Hz")
 
 
+@pytest.fixture(scope="module")
+def cohort2(tmp_path_factory):
+    """The cohort that `ppgstress synth --subjects 2` writes, at the default seed."""
+    out = tmp_path_factory.mktemp("cohort2")
+    assert cli.main(["synth", "--subjects", "2", "--out", str(out)]) == 0
+    return out / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def reports80(cohort2, tmp_path_factory):
+    """The 80 s reports of two `eval` calls on cohort2: LDA, then KNN and SGD."""
+    out = tmp_path_factory.mktemp("reports80")
+    assert cli.main(["eval", "--manifest", str(cohort2), "--window", "80",
+                     "--out", str(out)]) == 0
+    assert cli.main(["eval", "--manifest", str(cohort2), "--model", "knn",
+                     "--model", "sgd", "--out", str(out)]) == 0
+    return out
+
+
+class TestRoundTrip:
+    """The saved 2-subject cohort through every data subcommand: the results
+    must not depend on how the work is split between calls."""
+
+    def test_one_eval_of_three_models_byte_equal(self, cohort2, reports80, tmp_path,
+                                                 capsys):
+        out = tmp_path / "r3"
+        code, _, _ = run(capsys, "eval", "--manifest", str(cohort2), "--model", "lda",
+                         "--model", "knn", "--model", "sgd", "--out", str(out))
+        assert code == 0
+        for kind in ("lda", "knn", "sgd"):
+            name = f"cv_report_{kind}.json"
+            assert (out / name).read_bytes() == (reports80 / name).read_bytes()
+
+    def test_knn_and_sgd_accuracy_in_unit_interval(self, reports80):
+        for kind in ("knn", "sgd"):
+            doc = json.loads((reports80 / f"cv_report_{kind}.json").read_text())
+            assert 0 <= doc["mean_accuracy"] <= 1
+
+    # 60 s tachograms are single segments shorter than 256 samples, each its
+    # own length, so a sweep and a lone build group them into Welch calls
+    # differently; segments shared across sizes must change no result.
+    def test_sweep_rows_equal_eval_reports(self, cohort2, reports80, tmp_path, capsys):
+        r60, sweep = tmp_path / "r60", tmp_path / "sweep.csv"
+        assert run(capsys, "eval", "--manifest", str(cohort2), "--window", "60",
+                   "--out", str(r60))[0] == 0
+        assert run(capsys, "sweep", "--manifest", str(cohort2), "--sizes", "60,80",
+                   "--out", str(sweep))[0] == 0
+        with open(sweep) as f:
+            rows = {row["window_s"]: row for row in csv.DictReader(f)}
+        for size, out in (("80", reports80), ("60", r60)):
+            rep = json.loads((out / "cv_report_lda.json").read_text())
+            for key in ("mean_accuracy", "pooled_accuracy"):
+                assert rows[size][key] == f"{rep[key]:.6f}"
+
+    # Every size scores 1.0 on this cohort, so the accuracies above cannot see
+    # a feature move; the 60 s build here finds the segment tables that the
+    # 80 s build filled.
+    def test_lone_features_equal_shared_build(self, cohort2, tmp_path, capsys):
+        for size in (80, 60):
+            assert run(capsys, "features", "--manifest", str(cohort2), "--window",
+                       str(size), "--out", str(tmp_path / f"f{size}.csv"))[0] == 0
+        ds = io.load_dataset(cohort2)
+        prepared = {t.subject_id: windows.prepare_trace(t) for t in ds}
+        for size in (80, 60):
+            shared = tmp_path / f"shared{size}.csv"
+            windows.build_matrix(ds, windows.WindowSpec(size), prepared).to_csv(shared)
+            assert (tmp_path / f"f{size}.csv").read_bytes() == shared.read_bytes()
+
+    def test_corrupt_signal_line_named(self, cohort2, tmp_path, capsys):
+        cohort = shutil.copytree(cohort2.parent, tmp_path / "c")
+        signal = cohort / "S01_ppg.csv"
+        lines = signal.read_text().splitlines(keepends=True)
+        lines[2] = "0.5,junk\n"
+        signal.write_text("".join(lines))
+        code, _, err = run(capsys, "eval", "--manifest", str(cohort / "manifest.json"))
+        assert code == 1
+        assert err.splitlines() == ["error: subject S01: bad sample at S01_ppg.csv:3"]
+
+
 class TestCatalog:
     def test_machine_readable_table(self, capsys):
         code, stdout, _ = run(capsys, "catalog")
         assert code == 0
         doc = json.loads(stdout)
         assert len(doc["features"]) == 27
+        assert doc["catalog_version"]
         assert {"name", "domain", "unit", "formula"} \
             <= set(doc["features"][0])
+
+
+def test_module_entry_point(capsys):
+    """`python -m ppgstress.cli` as a process prints what `cli.main` prints."""
+    src = str(Path(ppgstress.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ppgstress.cli", "catalog"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == json.loads(run(capsys, "catalog")[1])
 
 
 def test_public_surface_pinned():

@@ -77,6 +77,43 @@ class TestTypes:
         with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
             io.SudsRating(120.0, value)
 
+    # A nan time would be saved as `nan,50`, a row the loader refuses.
+    @pytest.mark.parametrize("time_s,problem", [
+        (math.nan, "SUDs time must be finite, got nan"),
+        (-math.inf, "SUDs time must be finite, got -inf"),
+        ("x", "SUDs time must be a real number, got 'x'"),
+    ], ids=["nan", "-inf", "str"])
+    def test_suds_time_not_a_finite_real_refused(self, time_s, problem):
+        with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
+            io.SudsRating(time_s, 50)
+
+    # save_dataset writes the condition's `.name`; a string time would fail
+    # the end > start check with a bare TypeError.
+    @pytest.mark.parametrize("args,problem", [
+        ((0, 5, "relaxing"), "span condition must be Condition.RELAXING or "
+                             "Condition.STRESSFUL, got 'relaxing'"),
+        (("a", 5, io.Condition.RELAXING), "span start must be a real number, got 'a'"),
+        ((0, None, io.Condition.STRESSFUL), "span end must be a real number, got None"),
+    ], ids=["condition", "start", "end"])
+    def test_span_fields_checked(self, args, problem):
+        with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
+            io.ConditionSpan(*args)
+
+    # save_dataset reads each item's fields.
+    @pytest.mark.parametrize("field,problem", [
+        ("annotations", "subject s1: annotations must be ConditionSpans, got 1"),
+        ("suds", "subject s1: SUDs ratings must be SudsRatings, got 1"),
+    ], ids=["annotations", "suds"])
+    def test_trace_items_checked(self, field, problem):
+        with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
+            io.PpgTrace("s1", 100.0, np.zeros(100), **{field: (1,)})
+
+    # A cast to float would drop the imaginary parts with a ComplexWarning.
+    def test_complex_samples_refused(self):
+        with pytest.raises(ValidationError, match=r"^subject s1: PPG samples must be "
+                           r"real, got dtype complex128$"):
+            io.PpgTrace("s1", 100.0, np.zeros(100, dtype=complex))
+
     def test_whole_suds_stored_as_int(self):
         for value in (50.0, np.int64(50), np.float64(50.0)):
             assert type(io.SudsRating(120.0, value).value) is int
@@ -88,6 +125,12 @@ class TestTypes:
         with pytest.raises(ValidationError) as e:
             io.PpgTrace(sid, 100.0, np.zeros(100))
         assert str(e.value).startswith(f"subject id {sid!r} must be non-empty")
+
+    def test_dataset_of_non_traces_refused(self):
+        # The id check would fail with an AttributeError on `.subject_id`.
+        with pytest.raises(ValidationError,
+                           match=r"^dataset traces must be PpgTraces, got 1$"):
+            io.Dataset((1,))
 
     def test_duplicate_subject_ids(self):
         tr = io.PpgTrace("s1", 100.0, np.zeros(100))
@@ -304,6 +347,14 @@ class TestSynthCohort:
     def test_nonfinite_spec(self, name, value):
         # An infinite span_s would loop forever in plan_rr, a nan fs fail in round().
         with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            io.SynthCohortSpec(**{name: value})
+
+    # A string would fail the range check with a bare TypeError.
+    @pytest.mark.parametrize("name", ["fs", "span_s", "relaxed_hr", "stressed_hr"])
+    @pytest.mark.parametrize("value", ["100", None, True])
+    def test_spec_not_a_real_refused(self, name, value):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
             io.SynthCohortSpec(**{name: value})
 
     @pytest.mark.parametrize("name", ["relaxed_hrv", "stressed_hrv"])
