@@ -1,8 +1,10 @@
-"""Exception types shared across the pipeline, and the seed, k and real-number
-checks."""
+"""Exception types shared across the pipeline, and the seed, k, real-number
+and real-array checks."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class PipelineError(Exception):
@@ -32,6 +34,21 @@ def check_real(value, what: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def check_array(value, what: str, ndim: int = 1) -> np.ndarray:
+    """Refuse a value that is not an array of real numbers with `ndim` axes:
+    a ragged nest of sequences, or a bool, complex, str or object dtype.
+    Returns it as an array, not cast to float."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged
+        raise ValidationError(f"{what} must be {ndim}-D, got a ragged sequence") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be real, got dtype {a.dtype}")
+    if a.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-D, got shape {a.shape}")
+    return a
 
 
 def check_seed(seed) -> None:

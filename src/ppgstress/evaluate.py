@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import models, moments
-from .errors import DataError, ValidationError, check_k, check_seed
+from .errors import DataError, ValidationError, check_array, check_k, check_seed
 from .io import Dataset
 from .windows import (DEFAULT_SWEEP_SIZES, FeatureMatrix, WindowSpec, build_matrix,
                       prepare_trace, select)
@@ -249,8 +249,7 @@ def mann_whitney_u(a, b) -> UTestResult:
     EXACT_U_CAP the p-value enumerates every label assignment; above it, it
     uses the tie-corrected variance and a 0.5 continuity correction.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = (check_array(x, "U test samples").astype(float, copy=False) for x in (a, b))
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise ValidationError("both samples must be non-empty")

@@ -19,11 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, check_real, check_seed, is_whole
+from .errors import (DataError, ValidationError, check_array, check_real, check_seed,
+                     is_whole)
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
-# Floats in on-disk CSV/JSON. 12 significant digits do not round-trip every
-# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 9).
+# Signal samples on disk. 12 significant digits do not round-trip every
+# float64: cohort16's reloaded samples differ by up to 5.0e-12 (ROADMAP item 15).
+# Span and SUDs times are written with `repr`, which does: a span that ends at
+# the trace's end, n / fs, must not load as ending past it.
 FLOAT_FMT = "%.12g"
 _CHUNK = 4096  # signal samples formatted by one `%`: about 60 kB of text
 
@@ -101,19 +104,14 @@ class PpgTrace:
             raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
                                   f"number >= 25 Hz, got {self.fs!r}")
         object.__setattr__(self, "fs", float(self.fs))
-        samples = np.asarray(self.samples)
-        if np.iscomplexobj(samples):
-            raise ValidationError(f"subject {self.subject_id}: PPG samples must be "
-                                  f"real, got dtype {samples.dtype}")
+        samples = check_array(self.samples, f"subject {self.subject_id}: PPG samples")
         object.__setattr__(self, "samples", samples.astype(float, copy=False))
-        if self.samples.ndim != 1:
-            raise ValidationError(f"subject {self.subject_id}: PPG samples must be "
-                                  f"1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError(f"subject {self.subject_id}: non-finite PPG samples")
         for what, items, kind in (("annotations", self.annotations, ConditionSpan),
                                   ("SUDs ratings", self.suds, SudsRating)):
-            if bad := [x for x in items if not isinstance(x, kind)]:
+            if bad := ([x for x in items if not isinstance(x, kind)]
+                       if isinstance(items, tuple) else [items]):
                 raise ValidationError(f"subject {self.subject_id}: {what} must be "
                                       f"{kind.__name__}s, got {bad[0]!r}")
         dur = self.duration_s
@@ -139,10 +137,11 @@ class Dataset:
     traces: tuple[PpgTrace, ...]
 
     def __post_init__(self):
+        if bad := ([t for t in self.traces if not isinstance(t, PpgTrace)]
+                   if isinstance(self.traces, tuple) else [self.traces]):
+            raise ValidationError(f"dataset traces must be PpgTraces, got {bad[0]!r}")
         if not self.traces:
             raise ValidationError("dataset has no traces")
-        if bad := [t for t in self.traces if not isinstance(t, PpgTrace)]:
-            raise ValidationError(f"dataset traces must be PpgTraces, got {bad[0]!r}")
         ids = [t.subject_id for t in self.traces]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate subject ids in dataset: {ids}")
@@ -178,9 +177,11 @@ class SynthCohortSpec:
             object.__setattr__(self, name, value)
         # plan_rr would clip a nan interval to RR_MIN_MS without complaint.
         for name in ("relaxed_hrv", "stressed_hrv"):
-            if not (len(amps := getattr(self, name)) == 2
-                    and all(map(math.isfinite, amps))):
+            amps = getattr(self, name)
+            amps = tuple(check_real(a, name) for a in amps) if isinstance(amps, tuple) else ()
+            if not (len(amps) == 2 and all(map(math.isfinite, amps))):
                 raise ValidationError(f"{name} must be two finite amplitudes in ms")
+            object.__setattr__(self, name, amps)
         object.__setattr__(self, "noise_sigma", _check_noise(self.noise_sigma))
         check_seed(self.seed)
 
@@ -239,7 +240,7 @@ def synth_ppg(
     Deterministic for a fixed seed; noise is additive Gaussian. The seed and
     noise_sigma must pass `SynthCohortSpec`'s checks.
     """
-    rr = np.asarray(rr_plan_ms, dtype=float)
+    rr = check_array(rr_plan_ms, "rr_plan").astype(float, copy=False)
     if rr.size == 0:
         raise DataError("rr_plan is empty")
     # One test for both bounds: nan fails it too.
@@ -325,12 +326,11 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         with open(out / ann, "w", newline="") as f:
             f.write("start_s,end_s,condition\n")
             for sp in tr.annotations:
-                f.write(f"{FLOAT_FMT % sp.start_s},{FLOAT_FMT % sp.end_s},"
-                        f"{sp.condition.name.lower()}\n")
+                f.write(f"{sp.start_s!r},{sp.end_s!r},{sp.condition.name.lower()}\n")
         with open(out / sud, "w", newline="") as f:
             f.write("time_s,value\n")
             for r in tr.suds:
-                f.write(f"{FLOAT_FMT % r.time_s},{r.value}\n")
+                f.write(f"{r.time_s!r},{r.value}\n")
         subjects.append({"id": sid, "fs": tr.fs, "signal": sig,
                          "annotations": ann, "suds": sud})
     manifest = out / "manifest.json"
@@ -396,15 +396,6 @@ def _samples(base: Path, name: str, subject: str) -> np.ndarray:
     return np.array(_rows(base, name, ["ppg"], subject, _number, "sample"), dtype=float)
 
 
-def _rating(time: str, value: str) -> SudsRating:
-    time_s, v = _number(time), _number(value)
-    if not math.isfinite(time_s):
-        raise ValidationError(f"SUDs time must be finite, got {time!r}")
-    if not v.is_integer():  # nan and inf included
-        raise ValidationError(f"SUDs must be a whole number, got {value!r}")
-    return SudsRating(time_s, v)
-
-
 def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from the manifest format written by save_dataset."""
     manifest_path = Path(manifest_path)
@@ -424,16 +415,19 @@ def load_dataset(manifest_path) -> Dataset:
         if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
             raise ValidationError(f"manifest subject {i} is not an object with keys "
                                   f"{', '.join(keys)}: {entry!r}")
+        # The id names the subject in the errors below; the others are file names.
+        for key in ("id", "signal", "annotations", "suds"):
+            if not isinstance(entry[key], str):
+                raise ValidationError(f"manifest subject {i}: {key} must be a string, "
+                                      f"got {entry[key]!r}")
         sid = entry["id"]
-        if not isinstance(sid, str):
-            raise ValidationError(f"manifest subject {i}: id must be a string, "
-                                  f"got {sid!r}")
         traces.append(PpgTrace(
             sid, entry["fs"], _samples(base, entry["signal"], sid),
             tuple(_rows(base, entry["annotations"], ["start_s", "end_s", "condition"],
                         sid, lambda start, end, condition: ConditionSpan(
                             _number(start), _number(end), Condition.parse(condition)),
                         "annotation")),
-            tuple(_rows(base, entry["suds"], ["time_s", "value"], sid, _rating,
+            tuple(_rows(base, entry["suds"], ["time_s", "value"], sid,
+                        lambda time, value: SudsRating(_number(time), _number(value)),
                         "SUDs row"))))
     return Dataset(tuple(traces))

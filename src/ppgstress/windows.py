@@ -11,7 +11,7 @@ import numpy as np
 
 from . import hrv, moments, pulse
 from .dsp import design_butter_bandpass, filtfilt
-from .errors import DataError, ValidationError, check_k, check_real
+from .errors import DataError, ValidationError, check_array, check_k, check_real
 from .io import Dataset, PpgTrace
 
 log = logging.getLogger(__name__)
@@ -43,6 +43,9 @@ def segment(trace: PpgTrace, spec: WindowSpec) -> np.recarray:
     """Windows placed independently inside each condition span (never
     straddling): a record array of `start_s`, `end_s` and `label` (0 relaxed,
     1 stressed), in span order."""
+    if not (isinstance(trace, PpgTrace) and isinstance(spec, WindowSpec)):
+        raise ValidationError(f"segment takes a PpgTrace and a WindowSpec, got "
+                              f"{type(trace).__name__} and {type(spec).__name__}")
     start, label = [np.empty(0)], [np.empty(0, dtype=int)]
     for span in trace.annotations:
         last = span.end_s + 1e-9
@@ -69,6 +72,11 @@ class FeatureMatrix:
     columns: tuple[str, ...]
 
     def __post_init__(self):
+        for name, ndim in (("labels", 1), ("starts", 1), ("X", 2)):
+            object.__setattr__(self, name, check_array(getattr(self, name),
+                                                       f"feature matrix {name}", ndim))
+        if not (isinstance(self.subjects, tuple) and isinstance(self.columns, tuple)):
+            raise ValidationError("feature matrix subjects and columns must be tuples")
         if not (len(self.subjects) == len(self.labels) == len(self.starts)
                 == self.X.shape[0]):
             raise ValidationError("feature matrix row metadata lengths disagree")

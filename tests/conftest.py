@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ppgstress import io, pulse, windows
+
+# A property that fails only in CI prints the blob that reproduces it
+# (`@reproduce_failure`); local runs keep Hypothesis' defaults.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def rr_series(rr_ms, t0=0.0):

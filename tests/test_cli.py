@@ -285,6 +285,19 @@ class TestSuds:
         assert code == 1
         assert err.startswith("error: subject S01: fs must be a finite number >= 25 Hz")
 
+    # A file name that is not a string raised a bare TypeError, and the CLI
+    # printed a traceback.
+    @pytest.mark.parametrize("key", ["signal", "annotations", "suds"])
+    def test_non_string_file_name_exit_code(self, tmp_path, capsys, key):
+        run(capsys, "synth", "--subjects", "1", "--seed", "3", "--out", str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["subjects"][0][key] = 7
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "suds", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: manifest subject 1: {key} must be a string, got 7"]
+
 
 @pytest.fixture(scope="module")
 def cohort2(tmp_path_factory):

@@ -335,6 +335,15 @@ class TestMannWhitney:
         with pytest.raises(ValidationError, match="finite"):
             evaluate.mann_whitney_u([1.0, bad], [2.0, 3.0])
 
+    # The cast to float raised a bare ValueError.
+    @pytest.mark.parametrize("a,problem", [
+        (["a"], "U test samples must be real, got dtype <U1"),
+        ([[1.0, 2.0]], r"U test samples must be 1-D, got shape \(1, 2\)")],
+        ids=["str", "2-D"])
+    def test_not_1d_real_sample_refused(self, a, problem):
+        with pytest.raises(ValidationError, match=f"^{problem}$"):
+            evaluate.mann_whitney_u(a, [1.0])
+
 
 # Few distinct values, so most draws hold long runs of ties.
 TIED_VALUES = [-2.5, -0.0, 0.0, 1.0, 1.5, 7.0, 1e300]

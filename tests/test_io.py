@@ -114,6 +114,16 @@ class TestTypes:
                            r"real, got dtype complex128$"):
             io.PpgTrace("s1", 100.0, np.zeros(100, dtype=complex))
 
+    # A cast to float raised a bare ValueError for strings, and read a bool
+    # as 0 or 1.
+    @pytest.mark.parametrize("samples,dtype", [
+        (["a"], "<U1"), ([None, 1.0], "object"), ([10 ** 400], "object"),
+        ([True, False], "bool")], ids=["str", "None", "huge", "bool"])
+    def test_samples_not_real_numbers_refused(self, samples, dtype):
+        with pytest.raises(ValidationError, match=rf"^subject S: PPG samples must be "
+                           rf"real, got dtype {dtype}$"):
+            io.PpgTrace("S", 100.0, samples)
+
     def test_whole_suds_stored_as_int(self):
         for value in (50.0, np.int64(50), np.float64(50.0)):
             assert type(io.SudsRating(120.0, value).value) is int
@@ -173,6 +183,14 @@ class TestSynthPpg:
     def test_out_of_range_rr(self):
         with pytest.raises(ValidationError):
             io.synth_ppg([100.0] * 10, 100.0)
+
+    # The 100 intervals were flattened and rendered as one trace.
+    @pytest.mark.parametrize("plan,problem", [
+        (np.full((2, 50), 800.0), r"rr_plan must be 1-D, got shape \(2, 50\)"),
+        (["800"] * 10, "rr_plan must be real, got dtype <U3")], ids=["2-D", "str"])
+    def test_plan_not_1d_real_refused(self, plan, problem):
+        with pytest.raises(ValidationError, match=f"^{problem}$"):
+            io.synth_ppg(plan, 100.0)
 
     @pytest.mark.parametrize("at", [0, 5, 9], ids=["first", "middle", "last"])
     def test_nan_rr_refused(self, at):
@@ -359,11 +377,27 @@ class TestSynthCohort:
 
     @pytest.mark.parametrize("name", ["relaxed_hrv", "stressed_hrv"])
     @pytest.mark.parametrize("amps", [(math.nan, 50.0), (40.0, math.inf),
-                                      (-math.inf, 10.0), (40.0,), (1.0, 2.0, 3.0)])
+                                      (-math.inf, 10.0), (40.0,), (1.0, 2.0, 3.0),
+                                      5.0, "ab", [40.0, 50.0], np.array([40.0, 50.0])])
     def test_hrv_amplitudes_two_finite(self, name, amps):
         # plan_rr clipped a nan interval to 300 ms: max(300.0, nan) is 300.
         with pytest.raises(ValidationError, match=f"{name} must be two finite amplitudes"):
             io.SynthCohortSpec(**{name: amps})
+
+    # A string raised a bare TypeError from isfinite, and a bool was taken as
+    # an amplitude of 1 ms.
+    @pytest.mark.parametrize("name", ["relaxed_hrv", "stressed_hrv"])
+    @pytest.mark.parametrize("amps,shown", [(("a", 1.0), "'a'"), ((True, 1.0), "True")],
+                             ids=["str", "bool"])
+    def test_hrv_amplitude_not_a_real_refused(self, name, amps, shown):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be a real number, got {shown}$"):
+            io.SynthCohortSpec(**{name: amps})
+
+    def test_hrv_amplitudes_stored_as_floats(self):
+        spec = io.SynthCohortSpec(relaxed_hrv=(np.int64(40), 50))
+        assert spec.relaxed_hrv == (40.0, 50.0)
+        assert all(type(a) is float for a in spec.relaxed_hrv)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
     def test_noise_sigma_finite(self, value):
@@ -442,13 +476,14 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=r"SUDs out of \[0,100\].*:2"):
             io.load_dataset(manifest)
 
+    # SudsRating's messages show the parsed value, not the file's text.
     @pytest.mark.parametrize("row,problem", [
-        ("60,12.7", r"SUDs must be a whole number, got '12.7'"),
-        ("60,1e400", r"SUDs must be a whole number, got '1e400'"),
+        ("60,12.7", "SUDs must be a whole number, got 12.7"),
+        ("60,1e400", "SUDs must be a whole number, got inf"),
         ("7,extra", "bad SUDs row"),
         ("60,50,extra", "bad SUDs row"),
-        ("inf,50", "SUDs time must be finite, got 'inf'"),
-        ("nan,50", "SUDs time must be finite, got 'nan'"),
+        ("inf,50", "SUDs time must be finite, got inf"),
+        ("nan,50", "SUDs time must be finite, got nan"),
     ])
     def test_bad_suds_value_named_with_line(self, tmp_path, row, problem):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
@@ -466,6 +501,21 @@ class TestRoundTrip:
                            r"'sleepy'.* at S01_annotations.csv:2$"):
             io.load_dataset(manifest)
 
+    # At 333.3 Hz, n / fs of 333 467 samples (about 1000.5 s) printed with
+    # %.12g rounds up by 2.2e-9 s, past the 1e-9 s that PpgTrace allows, so
+    # the saved trace did not load.
+    def test_span_ending_at_trace_end_reloads_bit_equal(self, tmp_path):
+        fs, n = 333.3, 333_467
+        end = n / fs
+        assert float("%.12g" % end) - end > 2e-9
+        spans = (io.ConditionSpan(0.0, end / 3, io.Condition.RELAXING),
+                 io.ConditionSpan(end / 3, end, io.Condition.STRESSFUL))
+        suds = (io.SudsRating(end / 7, 20), io.SudsRating(end - 0.1, 80))
+        ds = io.Dataset((io.PpgTrace("S01", fs, np.zeros(n), spans, suds),))
+        (back,) = io.load_dataset(io.save_dataset(ds, tmp_path))
+        assert back.fs.hex() == fs.hex()
+        assert bits(back.annotations) == bits(spans) and bits(back.suds) == bits(suds)
+
     @pytest.mark.parametrize("row", ["0,200.8,relaxing,extra", "0,200.8"])
     def test_annotation_field_count_named(self, tmp_path, row):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=3))
@@ -475,6 +525,48 @@ class TestRoundTrip:
         with pytest.raises(ValidationError,
                            match=r"subject S01: bad annotation at S01_annotations.csv:2$"):
             io.load_dataset(manifest)
+
+
+def bits(items) -> list:
+    """Spans or ratings as their float fields' hex strings and other fields."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in vars(x).values())
+            for x in items]
+
+
+@st.composite
+def datasets(draw):
+    """Up to two traces of any fs and length, with spans whose last one ends at
+    the trace's end, n / fs, and SUDs ratings at any finite time."""
+    traces = []
+    for i in range(draw(st.integers(1, 2))):
+        fs = draw(st.floats(25.0, 1000.0))
+        samples = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                          allow_subnormal=False), min_size=1, max_size=50))
+        end = len(samples) / fs
+        cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))
+        bounds = sorted({end * c for c in cuts} | {0.0}) + [end]
+        spans = tuple(io.ConditionSpan(a, b, draw(st.sampled_from(list(io.Condition))))
+                      for a, b in zip(bounds, bounds[1:]) if b > a)
+        suds = tuple(io.SudsRating(t, v) for t, v in draw(st.lists(st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 100)),
+            max_size=3)))
+        traces.append(io.PpgTrace(f"S{i + 1:02d}", fs, np.array(samples), spans, suds))
+    return io.Dataset(tuple(traces))
+
+
+# The spans' and ratings' times were written with %.12g, which moved most of
+# them: a span ending at n / fs could load as ending past the trace.
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets())
+def test_save_load_round_trip(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        back = io.load_dataset(io.save_dataset(ds, tmp))
+    for a, b in zip(ds, back, strict=True):
+        assert b.subject_id == a.subject_id and b.fs.hex() == a.fs.hex()
+        assert bits(b.annotations) == bits(a.annotations)
+        assert bits(b.suds) == bits(a.suds)
+        # FLOAT_FMT's 12 significant digits: half a unit in the 12th place.
+        np.testing.assert_allclose(b.samples, a.samples, rtol=5e-12, atol=0)
 
 
 @pytest.fixture
@@ -587,6 +679,16 @@ class TestManifest:
         self._edit(manifest, id=sid)
         with pytest.raises(ValidationError, match=rf"^manifest subject 1: id must be a "
                            rf"string, got {re.escape(repr(sid))}$"):
+            io.load_dataset(manifest)
+
+    # `base / 7` raised a bare TypeError.
+    @pytest.mark.parametrize("key", ["signal", "annotations", "suds"])
+    @pytest.mark.parametrize("name", [7, None, ["S01_ppg.csv"]], ids=["int", "null", "list"])
+    def test_non_string_file_name_refused(self, saved1, key, name):
+        manifest, _ = saved1
+        self._edit(manifest, **{key: name})
+        with pytest.raises(ValidationError, match=rf"^manifest subject 1: {key} must be a "
+                           rf"string, got {re.escape(repr(name))}$"):
             io.load_dataset(manifest)
 
     @pytest.mark.parametrize("text", [b'{"subjects": [\xff]}', b'{"subjects": ['])

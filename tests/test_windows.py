@@ -99,6 +99,15 @@ class TestSegment:
             assert w.start_s >= span.start_s - 1e-9
             assert w.end_s <= span.end_s + 1e-9
 
+    # A spec that is not a WindowSpec raised a bare AttributeError on `.size_s`.
+    @pytest.mark.parametrize("args,shown", [
+        ((make_trace(840), "x"), "PpgTrace and str"),
+        (("x", windows.WindowSpec()), "str and WindowSpec")], ids=["spec", "trace"])
+    def test_wrong_argument_types_refused(self, args, shown):
+        with pytest.raises(ValidationError, match=rf"^segment takes a PpgTrace and a "
+                           rf"WindowSpec, got {shown}$"):
+            windows.segment(*args)
+
 
 def loop_segment(trace, spec):
     """The per-window loop `segment` replaced, as its oracle: start, end and
@@ -257,6 +266,32 @@ class TestFiniteValues:
         with pytest.raises(ValidationError, match="^subject b: non-finite f0 nan .* at 1 s$"):
             windows.FeatureMatrix(("a", "b", "c"), np.array([0, 1, 1]),
                                   np.arange(3.0), X, ("f0", "f1"))
+
+
+class TestMatrixFields:
+    def matrix(self, **fields):
+        valid = dict(subjects=("a", "b"), labels=np.array([0, 1]), starts=np.zeros(2),
+                     X=np.zeros((2, 3)), columns=("f0", "f1", "f2"))
+        return windows.FeatureMatrix(**{**valid, **fields})
+
+    # A 1-D X raised a bare IndexError from `X.shape[1]`.
+    @pytest.mark.parametrize("fields,problem", [
+        ({"X": np.zeros(3)}, r"feature matrix X must be 2-D, got shape \(3,\)"),
+        ({"X": [["a"] * 3] * 2}, "feature matrix X must be real, got dtype <U1"),
+        ({"labels": np.array([True, False])},
+         "feature matrix labels must be real, got dtype bool"),
+        ({"starts": np.zeros((2, 1))},
+         r"feature matrix starts must be 1-D, got shape \(2, 1\)"),
+        ({"subjects": "ab"}, "feature matrix subjects and columns must be tuples"),
+        ({"columns": None}, "feature matrix subjects and columns must be tuples")],
+        ids=["1-D X", "str X", "bool labels", "2-D starts", "str subjects", "no columns"])
+    def test_bad_field_refused(self, fields, problem):
+        with pytest.raises(ValidationError, match=f"^{problem}$"):
+            self.matrix(**fields)
+
+    def test_lists_stored_as_arrays(self):
+        m = self.matrix(labels=[0, 1], starts=[0.0, 5.0], X=[[1.0] * 3] * 2)
+        assert all(isinstance(a, np.ndarray) for a in (m.labels, m.starts, m.X))
 
 
 class TestAnovaF:
