@@ -221,9 +221,6 @@ class UTestResult:
     n2: int
     method: str  # "exact" or "normal"
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1-based ranks of x, tied values sharing their mean rank, and the size

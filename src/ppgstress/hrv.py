@@ -9,7 +9,7 @@ import numpy as np
 
 from .dsp import welch_hop, welch_psd
 from .errors import DataError
-from .pulse import RrSeries, SegmentPowers, window_bounds  # noqa: F401
+from .pulse import RrSeries, window_bounds
 
 CATALOG_VERSION = "1"
 
@@ -291,8 +291,9 @@ def _spectral_columns(rr: RrSeries, lo: np.ndarray, hi: np.ndarray, cols: dict) 
     Welch cuts that tachogram into 256-sample segments every 128 samples, or
     takes it whole when it is shorter, and removes each segment's own mean;
     the window mean is not removed first. A segment's band powers therefore
-    depend only on its key (see `SegmentPowers`), and a window's are the mean
-    of its segments', taken from the series' table or computed and added to it.
+    depend only on its key (see `pulse.SegmentPowers`), and a window's are the
+    mean of its segments', taken from the series' table or computed and added
+    to it.
     """
     t, rr_ms = rr.rr_times_s, rr.rr_ms
     step = 1.0 / RESAMPLE_HZ

@@ -28,6 +28,7 @@ from .pulse import RR_MAX_MS, RR_MIN_MS
 # Span and SUDs times are written with `repr`, which does: a span that ends at
 # the trace's end, n / fs, must not load as ending past it.
 FLOAT_FMT = "%.12g"
+MIN_FS_HZ = 25.0  # the lowest sampling rate a trace or a synthetic cohort may have
 _CHUNK = 4096  # signal samples formatted by one `%`: about 60 kB of text
 
 
@@ -55,8 +56,11 @@ class ConditionSpan:
         if not isinstance(self.condition, Condition):
             raise ValidationError("span condition must be Condition.RELAXING or "
                                   f"Condition.STRESSFUL, got {self.condition!r}")
-        object.__setattr__(self, "start_s", check_real(self.start_s, "span start"))
-        object.__setattr__(self, "end_s", check_real(self.end_s, "span end"))
+        for name, what in (("start_s", "span start"), ("end_s", "span end")):
+            value = check_real(getattr(self, name), what)
+            if not math.isfinite(value):
+                raise ValidationError(f"{what} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.end_s > self.start_s:
             raise ValidationError(
                 f"condition span must have end > start, got [{self.start_s}, {self.end_s}]"
@@ -98,12 +102,7 @@ class PpgTrace:
                 and not set(self.subject_id) & set(",\r\n/\\")):
             raise ValidationError(f"subject id {self.subject_id!r} must be non-empty "
                                   "and hold no ',', CR, LF, '/' or '\\'")
-        # nan fails both comparisons; inf, and an int too large for a float,
-        # fail the second.
-        if not (isinstance(self.fs, numbers.Real) and 25.0 <= self.fs <= sys.float_info.max):
-            raise ValidationError(f"subject {self.subject_id}: fs must be a finite "
-                                  f"number >= 25 Hz, got {self.fs!r}")
-        object.__setattr__(self, "fs", float(self.fs))
+        object.__setattr__(self, "fs", _check_fs(self.fs, f"subject {self.subject_id}: "))
         samples = check_array(self.samples, f"subject {self.subject_id}: PPG samples")
         object.__setattr__(self, "samples", samples.astype(float, copy=False))
         if not np.all(np.isfinite(self.samples)):
@@ -170,7 +169,8 @@ class SynthCohortSpec:
         if not (is_whole(self.n_subjects) and self.n_subjects >= 1):
             raise ValidationError(f"n_subjects must be a whole number >= 1, "
                                   f"got {self.n_subjects!r}")
-        for name in ("fs", "span_s", "relaxed_hr", "stressed_hr"):
+        object.__setattr__(self, "fs", _check_fs(check_real(self.fs, "fs")))
+        for name in ("span_s", "relaxed_hr", "stressed_hr"):
             value = check_real(getattr(self, name), name)
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
@@ -184,6 +184,17 @@ class SynthCohortSpec:
             object.__setattr__(self, name, amps)
         object.__setattr__(self, "noise_sigma", _check_noise(self.noise_sigma))
         check_seed(self.seed)
+
+
+def _check_fs(fs, who: str = "") -> float:
+    """fs as a float; refused, the message prefixed by `who`, unless a real
+    number from MIN_FS_HZ to the largest float."""
+    # nan fails both comparisons; inf, and an int too large for a float,
+    # fail the second.
+    if not (isinstance(fs, numbers.Real) and MIN_FS_HZ <= fs <= sys.float_info.max):
+        raise ValidationError(f"{who}fs must be a finite number >= {MIN_FS_HZ:g} Hz, "
+                              f"got {fs!r}")
+    return float(fs)
 
 
 def _check_noise(noise_sigma) -> float:

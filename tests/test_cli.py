@@ -49,11 +49,17 @@ class TestSynth:
         assert code == 1
         assert "subjects" in err
 
-    def test_negative_seed_usage_error(self, tmp_path, capsys):
-        code, out, err = run(capsys, "synth", "--subjects", "1", "--seed", "-1",
+    # --fs 10 passed the spec, and synth_cohort then refused subject S01,
+    # naming a subject that was never written.
+    @pytest.mark.parametrize("option,problem", [
+        (("--seed", "-1"), "seed must be a whole number >= 0, got -1"),
+        (("--fs", "10"), "fs must be a finite number >= 25 Hz, got 10.0"),
+    ], ids=["negative-seed", "fs-below-floor"])
+    def test_bad_spec_usage_error(self, tmp_path, capsys, option, problem):
+        code, out, err = run(capsys, "synth", "--subjects", "1", *option,
                              "--out", str(tmp_path / "d"))
         assert code == 1
-        assert err.splitlines() == ["error: seed must be a whole number >= 0, got -1"]
+        assert err.splitlines() == [f"error: {problem}"]
         assert out == "" and not (tmp_path / "d").exists()
 
 

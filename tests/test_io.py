@@ -88,13 +88,18 @@ class TestTypes:
             io.SudsRating(time_s, 50)
 
     # save_dataset writes the condition's `.name`; a string time would fail
-    # the end > start check with a bare TypeError.
+    # the end > start check with a bare TypeError, and PpgTrace refused an
+    # infinite time as "span ends at infs" or "unordered spans at -infs".
     @pytest.mark.parametrize("args,problem", [
         ((0, 5, "relaxing"), "span condition must be Condition.RELAXING or "
                              "Condition.STRESSFUL, got 'relaxing'"),
         (("a", 5, io.Condition.RELAXING), "span start must be a real number, got 'a'"),
         ((0, None, io.Condition.STRESSFUL), "span end must be a real number, got None"),
-    ], ids=["condition", "start", "end"])
+        ((-math.inf, 0, io.Condition.RELAXING), "span start must be finite, got -inf"),
+        ((math.nan, 5, io.Condition.RELAXING), "span start must be finite, got nan"),
+        ((0, math.inf, io.Condition.STRESSFUL), "span end must be finite, got inf"),
+        ((0, 10 ** 400, io.Condition.STRESSFUL), "span end must be finite, got inf"),
+    ], ids=["condition", "start", "end", "start-inf", "start-nan", "end-inf", "end-huge"])
     def test_span_fields_checked(self, args, problem):
         with pytest.raises(ValidationError, match=f"^{re.escape(problem)}$"):
             io.ConditionSpan(*args)
@@ -359,12 +364,19 @@ class TestSynthCohort:
             io.SynthCohortSpec(n_subjects=0)
         with pytest.raises(ValidationError):
             io.SynthCohortSpec(fs=-1)
+        # The spec took any positive fs, and synth_cohort then refused the
+        # first trace it rendered.
+        with pytest.raises(ValidationError,
+                           match=r"^fs must be a finite number >= 25 Hz, got 10\.0$"):
+            io.SynthCohortSpec(fs=10.0)
 
     @pytest.mark.parametrize("name", ["fs", "span_s", "relaxed_hr", "stressed_hr"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_spec(self, name, value):
         # An infinite span_s would loop forever in plan_rr, a nan fs fail in round().
-        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        problem = (f"fs must be a finite number >= 25 Hz, got {value}" if name == "fs"
+                   else f"{name} must be positive and finite")
+        with pytest.raises(ValidationError, match=f"^{problem}$"):
             io.SynthCohortSpec(**{name: value})
 
     # A string would fail the range check with a bare TypeError.
