@@ -1,5 +1,5 @@
-"""Exception types shared across the pipeline, and the seed, k, real-number
-and real-array checks."""
+"""Exception types shared across the pipeline, and the seed, k, real-number,
+real-array and subject-id checks."""
 
 import math
 import numbers
@@ -49,6 +49,15 @@ def check_array(value, what: str, ndim: int = 1) -> np.ndarray:
     if a.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-D, got shape {a.shape}")
     return a
+
+
+def check_subject_id(subject_id) -> None:
+    """Refuse a subject id that cannot name the subject's files and be a
+    field of the feature CSV."""
+    if not (isinstance(subject_id, str) and subject_id
+            and not set(subject_id) & set(",\r\n/\\")):
+        raise ValidationError(f"subject id {subject_id!r} must be non-empty "
+                              "and hold no ',', CR, LF, '/' or '\\'")
 
 
 def check_seed(seed) -> None:

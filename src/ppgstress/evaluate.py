@@ -147,13 +147,16 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
 
 
 def check_run(k, model_kinds, seed) -> None:
-    """Refuse a bad seed, then a bad k, then any unknown model kind."""
+    """Refuse a bad seed, then a bad k, then the first model kind that is
+    unknown or given twice."""
     check_seed(seed)
     check_k(k)
-    for kind in model_kinds:
+    for i, kind in enumerate(model_kinds):
         if kind not in models.MODEL_KINDS:
             raise ValidationError(f"unknown model kind {kind!r}; expected one of "
                                   f"{models.MODEL_KINDS}")
+        if kind in model_kinds[:i]:
+            raise ValidationError(f"model kind {kind!r} given twice")
 
 
 def window_echo(spec: WindowSpec) -> dict:

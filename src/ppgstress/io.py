@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataError, ValidationError, check_array, check_real, check_seed,
-                     is_whole)
+                     check_subject_id, is_whole)
 from .pulse import RR_MAX_MS, RR_MIN_MS
 
 # Signal samples on disk. 12 significant digits do not round-trip every
@@ -97,11 +97,7 @@ class PpgTrace:
     suds: tuple[SudsRating, ...] = ()
 
     def __post_init__(self):
-        # The id names the subject's files and is a field of the feature CSV.
-        if not (isinstance(self.subject_id, str) and self.subject_id
-                and not set(self.subject_id) & set(",\r\n/\\")):
-            raise ValidationError(f"subject id {self.subject_id!r} must be non-empty "
-                                  "and hold no ',', CR, LF, '/' or '\\'")
+        check_subject_id(self.subject_id)
         object.__setattr__(self, "fs", _check_fs(self.fs, f"subject {self.subject_id}: "))
         samples = check_array(self.samples, f"subject {self.subject_id}: PPG samples")
         object.__setattr__(self, "samples", samples.astype(float, copy=False))

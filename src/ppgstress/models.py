@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dsp, moments
-from .errors import DataError, ValidationError, check_seed, is_whole
+from .errors import DataError, ValidationError, check_real, check_seed, is_whole
 
 MODEL_KINDS = ("lda", "knn", "sgd")
 LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
@@ -381,6 +381,7 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
 
 def stress_level(p_stress: float) -> float:
     """Probability -> one-decimal stress level, rounding half away from zero."""
-    if not 0.0 <= p_stress <= 1.0:
+    p = check_real(p_stress, "probability")
+    if not 0.0 <= p <= 1.0:
         raise ValidationError(f"probability out of [0,1]: {p_stress}")
-    return math.floor(p_stress * 10.0 + 0.5) / 10.0
+    return math.floor(p * 10.0 + 0.5) / 10.0

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import hrv, moments, pulse
 from .dsp import design_butter_bandpass, filtfilt
-from .errors import DataError, ValidationError, check_array, check_k, check_real
+from .errors import (DataError, ValidationError, check_array, check_k, check_real,
+                     check_subject_id)
 from .io import Dataset, PpgTrace
 
 log = logging.getLogger(__name__)
@@ -77,6 +78,22 @@ class FeatureMatrix:
                                                        f"feature matrix {name}", ndim))
         if not (isinstance(self.subjects, tuple) and isinstance(self.columns, tuple)):
             raise ValidationError("feature matrix subjects and columns must be tuples")
+        # Ids, names and labels as the CSV and the LOSO folds can hold them;
+        # each distinct id is checked once.
+        try:
+            ids = self.subject_ids
+        except TypeError:  # an unhashable id, which is no string
+            ids = self.subjects
+        for sid in ids:
+            check_subject_id(sid)
+        for name in self.columns:
+            if not (isinstance(name, str) and name and not set(name) & set(",\r\n")):
+                raise ValidationError(f"feature matrix column {name!r} must be "
+                                      "non-empty and hold no ',', CR or LF")
+        if twice := [name for name, n in Counter(self.columns).items() if n > 1]:
+            raise ValidationError(f"feature matrix columns named twice: {twice}")
+        if (bad := self.labels[~np.isin(self.labels, (0, 1))]).size:
+            raise ValidationError(f"feature matrix labels must be 0 or 1, got {bad[0]}")
         if not (len(self.subjects) == len(self.labels) == len(self.starts)
                 == self.X.shape[0]):
             raise ValidationError("feature matrix row metadata lengths disagree")

@@ -210,6 +210,19 @@ def test_bad_k_refused_before_data(command, tmp_path, capsys, monkeypatch):
     assert err.splitlines() == ["error: k must be >= 1, got 0"]
 
 
+def test_repeated_model_refused_before_data(tmp_path, capsys, monkeypatch):
+    # The repeat ran LOSO twice, printed it twice and wrote its report twice.
+    monkeypatch.setattr(io, "load_dataset", no_data)
+    monkeypatch.setattr(windows, "prepare_trace", no_data)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "eval", "--manifest",
+                            str(tmp_path / "missing" / "manifest.json"),
+                            "--model", "lda", "--model", "lda", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == ["error: model kind 'lda' given twice"]
+    assert not out.exists()
+
+
 # Options a subcommand does not read (--synth and --subjects on any data
 # subcommand, --k and --seed on features, --seed on suds) and a missing
 # --manifest are argparse usage errors.
@@ -257,7 +270,7 @@ class TestSuds:
         assert code == 0
         doc = json.loads(out.read_text())
         # only ~21 pooled ratings from 3 subjects; the full-cohort p < 1e-5
-        # bound is asserted in the acceptance suite
+        # bound is asserted in tests/test_evaluate.py
         assert doc["utest"]["p_two_tailed"] < 1e-3
 
     def test_exact_mode_small_sample(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -25,15 +27,18 @@ class TestDesign:
     def test_three_biquads_for_order_three(self, cascade):
         assert cascade.sos.shape == (3, 6)
 
+    @pytest.mark.acceptance
     def test_zero_at_dc_and_nyquist(self, cascade):
         h = np.abs(dsp.freq_response(cascade, [0.0, FS / 2]))
-        assert h[0] == pytest.approx(0.0, abs=1e-12)
+        assert h[0] == 0.0
         assert h[1] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.acceptance
     def test_passband_gain(self, cascade):
         h = np.abs(dsp.freq_response(cascade, [2.0]))[0]
         assert 0.98 <= h <= 1.0
 
+    @pytest.mark.acceptance
     def test_minus_3db_at_both_edges(self, cascade):
         h = np.abs(dsp.freq_response(cascade, [0.5, 8.0]))
         assert h == pytest.approx(2 ** -0.5, rel=0.01)
@@ -147,10 +152,15 @@ def test_filtfilt_double_pole_section():
 
 
 class TestFiltfilt:
-    def test_passband_tone_amplitude_and_lag(self, cascade):
+    @pytest.mark.acceptance
+    def test_passband_tone_amplitude_and_lag(self):
         t = np.arange(0, 30, 1 / FS)
         x = np.sin(2 * np.pi * 2.0 * t)
+        t0 = time.perf_counter()
+        # The uncached design, so the bound covers designing the cascade too.
+        cascade = dsp.design_butter_bandpass.__wrapped__(3, 0.5, 8.0, FS)
         y = dsp.filtfilt(cascade, x)
+        assert time.perf_counter() - t0 < 1.0
         core = slice(500, len(t) - 500)
         assert np.max(np.abs(y[core])) == pytest.approx(1.0, rel=0.05)
         # zero phase: cross-correlation peaks at zero lag
@@ -163,12 +173,15 @@ class TestFiltfilt:
         # the 0.5 Hz edge decays slowly; the tail past the transient is clean
         assert np.max(np.abs(y[1500:])) < 1e-6
 
+    @pytest.mark.acceptance
     def test_subband_tone_suppressed(self, cascade):
         t = np.arange(0, 120, 1 / FS)
         x = np.sin(2 * np.pi * 0.05 * t)
         y = dsp.filtfilt(cascade, x)
+        h = np.abs(dsp.freq_response(cascade, [0.05]))[0]
+        assert h <= 0.01
         # zero-phase attenuation is |H|^2 of the single-pass design
-        expected = np.abs(dsp.freq_response(cascade, [0.05]))[0] ** 2
+        expected = h ** 2
         assert np.max(np.abs(y[2000:-2000])) < 0.01
         assert np.max(np.abs(y[2000:-2000])) < 2 * expected + 1e-6
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -62,17 +63,22 @@ class TestMetrics:
 
 
 class TestLoso:
+    @pytest.mark.acceptance
     def test_planted_cohort_high_accuracy(self, matrix16):
+        t0 = time.perf_counter()
         rep = evaluate.loso_matrix(matrix16, k=35, model_kind="lda", seed=0)
+        assert time.perf_counter() - t0 < 300.0
         assert rep.mean_accuracy >= 0.90
         assert len(rep.folds) == 16
         for fold in rep.folds:
             assert sum(fold.confusion.values()) == fold.n_windows
 
+    @pytest.mark.acceptance
     def test_shuffled_labels_chance_level(self, matrix16):
-        shuffled = evaluate.shuffle_labels(matrix16, seed=3)
-        rep = evaluate.loso_matrix(shuffled, k=35, model_kind="lda", seed=0)
-        assert 0.40 <= rep.mean_accuracy <= 0.60
+        for seed in (3, 13):
+            shuffled = evaluate.shuffle_labels(matrix16, seed=seed)
+            rep = evaluate.loso_matrix(shuffled, k=35, model_kind="lda", seed=0)
+            assert 0.40 <= rep.mean_accuracy <= 0.60, seed
 
     def test_shuffle_independent_of_hash_seed(self):
         # Subject order must not come from a set of strings, whose iteration
@@ -144,6 +150,7 @@ class TestLoso:
 
 
 class TestSweep:
+    @pytest.mark.acceptance
     def test_seven_sizes(self):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=3, seed=2))
         rows = evaluate.sweep_windows(ds, k=10)
@@ -152,6 +159,7 @@ class TestSweep:
         for r in rows:
             assert r["mean_accuracy"] >= 0.45  # never below chance - 0.05
 
+    @pytest.mark.acceptance
     def test_deterministic(self):
         ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=2, seed=2))
         a = evaluate.sweep_windows(ds, sizes=(60.0, 80.0), k=5)
@@ -188,7 +196,10 @@ def test_bad_k_refused_before_data_work(cohort16, monkeypatch, entry, k):
     (evaluate.sweep_windows, {"sizes": []}, r"^sizes names no window size: \[\]$"),
     (evaluate.sweep_windows, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
     (evaluate.loso, {"model_kind": "xgb"}, "^unknown model kind 'xgb'"),
-], ids=["sweep-nan-size", "sweep-no-size", "sweep-model", "loso-model"])
+    (evaluate.loso_reports, {"specs": [windows.WindowSpec()], "model_kinds": ["lda", "lda"],
+                             "k": 10, "seed": 0}, "^model kind 'lda' given twice$"),
+], ids=["sweep-nan-size", "sweep-no-size", "sweep-model", "loso-model",
+        "reports-repeated-model"])
 def test_bad_arguments_refused_before_data_work(cohort16, monkeypatch, entry,
                                                  kwargs, match):
     def no_work(*args, **kwargs):
@@ -202,10 +213,13 @@ def test_bad_arguments_refused_before_data_work(cohort16, monkeypatch, entry,
 
 
 def test_check_run_order():
-    # A bad seed is named first, then a bad k, then the first unknown kind.
+    # A bad seed is named first, then a bad k, then the first kind that is
+    # unknown or given twice.
     for args, shown in [((0, ["xgb"], -1), "seed must be a whole number >= 0, got -1"),
                         ((0, ["xgb"], 0), "k must be >= 1, got 0"),
-                        ((1, ["lda", "xgb", "svm"], 0), "unknown model kind 'xgb'")]:
+                        ((1, ["lda", "xgb", "svm"], 0), "unknown model kind 'xgb'"),
+                        ((1, ["lda", "knn", "lda", "xgb"], 0),
+                         "model kind 'lda' given twice")]:
         with pytest.raises(ValidationError, match=f"^{shown}"):
             evaluate.check_run(*args)
     evaluate.check_run(1, list(evaluate.models.MODEL_KINDS), 0)
@@ -280,6 +294,7 @@ def oracle_exact_u(a, b):
 
 
 class TestMannWhitney:
+    @pytest.mark.acceptance
     def test_textbook_exact_case(self):
         r = evaluate.mann_whitney_u([1, 2, 3], [4, 5, 6])
         assert r.u == 0 and r.method == "exact"
@@ -315,6 +330,7 @@ class TestMannWhitney:
             assert r.method == "normal"
             assert r.p_two_tailed < (1e-3 if n1 + n2 == 17 else 1e-5)
 
+    @pytest.mark.acceptance
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -324,6 +340,11 @@ class TestMannWhitney:
         # min-U is symmetric; the raw U1 values complement to n1*n2
         assert ra.u == pytest.approx(rb.u, abs=1e-9)
         assert 0 <= ra.u <= len(a) * len(b)
+        ranks, _ = evaluate.midranks(np.array(a + b, dtype=float))
+        n1, n2 = len(a), len(b)
+        u_ab = ranks[:n1].sum() - n1 * (n1 + 1) / 2
+        u_ba = ranks[n1:].sum() - n2 * (n2 + 1) / 2
+        assert u_ab + u_ba == pytest.approx(n1 * n2, abs=1e-9)
 
     def test_empty_sample(self):
         with pytest.raises(ValidationError):
@@ -390,6 +411,7 @@ def test_normal_branch_matches_scipy(samples):
 
 
 class TestSudsReport:
+    @pytest.mark.acceptance
     def test_planted_cohort(self, cohort16):
         rep = evaluate.suds_report(cohort16)
         assert rep.stressful["median"] > rep.relaxing["median"]

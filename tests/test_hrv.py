@@ -67,6 +67,17 @@ def random_rr(seed, n=200):
     return np.random.default_rng(seed).uniform(800, 1200, n)
 
 
+def drawn_windows(count=100):
+    """Windows of 50-199 intervals, drawn in turn from one generator."""
+    rng = np.random.default_rng(123)
+    return [rng.uniform(800, 1200, int(rng.integers(50, 200))) for _ in range(count)]
+
+
+# Five 200-interval series, then 100 shorter windows.
+ORACLE_RR = ([pytest.param(random_rr(seed), id=str(seed)) for seed in range(5)]
+             + [pytest.param(rr, id=f"w{i}") for i, rr in enumerate(drawn_windows())])
+
+
 class TestTimeDomain:
     def test_constant_series(self):
         v = hrv.time_domain([1000.0] * 20)
@@ -80,9 +91,9 @@ class TestTimeDomain:
         assert v["pNN20"] == 100.0
         assert v["pNN50"] == 0.0
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_oracle(self, seed):
-        rr = random_rr(seed)
+    @pytest.mark.acceptance
+    @pytest.mark.parametrize("rr", ORACLE_RR)
+    def test_matches_oracle(self, rr):
         got = hrv.time_domain(rr)
         want = oracle_time(rr)
         for name, v in want.items():
@@ -99,11 +110,13 @@ class TestFrequencyDomain:
         assert f.values["LF"] < 1e-9 and f.values["HF"] < 1e-9
         assert not f.usable
 
+    @pytest.mark.acceptance
     def test_lf_modulation(self):
         f = hrv.frequency_domain(modulated_rr(0.1), 300.0)
         assert f.values["LFn"] > 0.9
         assert f.values["LFHF"] > 10
 
+    @pytest.mark.acceptance
     def test_hf_modulation(self):
         f = hrv.frequency_domain(modulated_rr(0.25), 300.0)
         assert f.values["HFn"] > 0.9
@@ -140,19 +153,20 @@ class TestNonlinear:
         f = hrv.nonlinear(rr)
         assert f.values["ShanEn"] == pytest.approx(3.0, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_rotation_oracle(self, seed):
-        rr = random_rr(seed)
+    @pytest.mark.acceptance
+    @pytest.mark.parametrize("rr", ORACLE_RR)
+    def test_matches_rotation_oracle(self, rr):
         f = hrv.nonlinear(rr)
         sd1, sd2 = oracle_poincare(rr)
         assert f.values["SD1"] == pytest.approx(sd1, rel=1e-9)
         assert f.values["SD2"] == pytest.approx(sd2, rel=1e-9)
+        assert f.values["SD1SD2"] == pytest.approx(sd1 / sd2, rel=1e-9)
         assert f.values["CSI"] == pytest.approx(sd2 / sd1, rel=1e-9)
         assert f.values["ShanEn"] == pytest.approx(oracle_shanen(rr), rel=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_variance_identity(self, seed):
-        rr = random_rr(seed)
+    @pytest.mark.acceptance
+    @pytest.mark.parametrize("rr", ORACLE_RR)
+    def test_variance_identity(self, rr):
         f = hrv.nonlinear(rr)
         assert (f.values["SD1"] ** 2 + f.values["SD2"] ** 2
                 == pytest.approx(2 * np.var(rr), rel=1e-9))

@@ -23,11 +23,13 @@ def gaussian_clouds(seed=0, sep=2.0, sigma=0.5, n=200, d=1):
 
 
 class TestLda:
+    @pytest.mark.acceptance
     def test_separable_training_accuracy(self):
         X, y = gaussian_clouds()
         m = models.lda_fit(X, y)
         assert np.mean((m.predict_proba(X) >= 0.5) == y) >= 0.99
 
+    @pytest.mark.acceptance
     def test_mirrored_classes_probability_half_at_origin(self):
         rng = np.random.default_rng(1)
         a = rng.normal(2.0, 0.5, (100, 2))
@@ -314,6 +316,7 @@ class TestSgd:
         m = models.sgd_logistic_fit(X, y, one_fold(X), seed=1).models[0]
         np.testing.assert_allclose(m.predict_proba(X), 0.5)
 
+    @pytest.mark.acceptance
     def test_deterministic_per_seed(self):
         X, y = gaussian_clouds(seed=9, d=3)
         a = models.sgd_logistic_fit(X, y, one_fold(X), seed=5).models[0]
@@ -326,6 +329,7 @@ class TestSgd:
         with pytest.raises(ValidationError, match="seed must be a whole number >= 0"):
             models.sgd_logistic_fit(X, y, one_fold(X), seed=seed)
 
+    @pytest.mark.acceptance
     def test_loss_nonincreasing_within_tolerance(self):
         X, y = gaussian_clouds(seed=10, d=2)
         m = models.sgd_logistic_fit(X, y, one_fold(X), seed=2).models[0]
@@ -386,8 +390,16 @@ class TestStressLevel:
         assert models.stress_level(p) == lvl
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^probability out of \[0,1\]: 1.2$"):
             models.stress_level(1.2)
+
+    # True gave 1.0; "0.5" and None raised a bare TypeError.
+    @pytest.mark.parametrize("p,shown", [(True, "True"), ("0.5", "'0.5'"),
+                                         (None, "None")])
+    def test_not_a_real_number_refused(self, p, shown):
+        with pytest.raises(ValidationError,
+                           match=f"^probability must be a real number, got {shown}$"):
+            models.stress_level(p)
 
     def test_complementary_probabilities(self):
         p = 0.82
