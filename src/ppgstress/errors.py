@@ -51,6 +51,19 @@ def check_array(value, what: str, ndim: int = 1) -> np.ndarray:
     return a
 
 
+def check_indices(value, what: str, size: int) -> np.ndarray:
+    """Refuse a value that is not a 1-D array of whole numbers in [0, size),
+    such as row or column indices into an array whose axis has `size`
+    entries. Returns it as an array."""
+    a = check_array(value, what)
+    if a.dtype.kind == "f":
+        raise ValidationError(f"{what} must be whole numbers, got dtype {a.dtype}")
+    if a.size and not 0 <= a.min() <= a.max() < size:
+        raise ValidationError(f"{what} must lie in [0, {size}), "
+                              f"got values from {a.min()} to {a.max()}")
+    return a
+
+
 def check_subject_id(subject_id) -> None:
     """Refuse a subject id that cannot name the subject's files and be a
     field of the feature CSV."""

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dsp, moments
-from .errors import DataError, ValidationError, check_real, check_seed, is_whole
+from .errors import (DataError, ValidationError, check_array, check_indices, check_real,
+                     check_seed, is_whole)
 
 MODEL_KINDS = ("lda", "knn", "sgd")
 LDA_RIDGE = 1e-6  # times the mean pooled variance, added to the diagonal
@@ -46,6 +47,38 @@ def _check_two_classes(y: np.ndarray):
     zero, one = y == 0, y == 1
     if not (zero.any() and one.any() and np.all(zero | one)):
         raise DataError(f"need both classes present, got labels {np.unique(y)}")
+
+
+def _check_folds(X, y, folds) -> tuple[np.ndarray, np.ndarray]:
+    """X as floats and y, for a fit on the fold specs `(rows, cols, mean, std)`.
+
+    Refuses, with a ValidationError, an X that is not 2-D, a y that is not
+    1-D with one label per row of X, no folds, and a fold whose rows or cols
+    are not whole numbers indexing X's rows or columns, whose cols repeat a
+    column (KNN's filter weighs each column once) or whose mean or std does
+    not hold one value per column; the message names the fold and the field.
+    A fold without both classes is a DataError.
+    """
+    X = check_array(X, "X", ndim=2).astype(float, copy=False)
+    y = check_array(y, "y")
+    if len(y) != len(X):
+        raise ValidationError(f"y must hold one label per row of X ({len(X)}), got {len(y)}")
+    if not len(folds):
+        raise ValidationError("need at least one fold")
+    for f, (rows, cols, mean, std) in enumerate(folds):
+        rows = check_indices(rows, f"fold {f} rows", len(X))
+        cols = np.sort(check_indices(cols, f"fold {f} cols", X.shape[1]))
+        twice = cols[1:][cols[1:] == cols[:-1]]
+        if len(twice):
+            raise ValidationError(f"fold {f} cols must be distinct, got {twice[0]} twice")
+        d = len(cols)
+        for field, v in (("mean", mean), ("std", std)):
+            got = len(check_array(v, f"fold {f} {field}"))
+            if got != d:
+                raise ValidationError(f"fold {f} {field} must hold one value per column "
+                                      f"({d}), got {got}")
+        _check_two_classes(y[rows])
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -270,10 +303,8 @@ def knn_fit(X, y, folds, k: int = 5) -> tuple[KnnModel, ...]:
     with labels `y[rows]`. A single fit on X is the one fold
     `(all rows, all columns, zeros, ones)`.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    X, y = _check_folds(X, y, folds)
     for rows, *_ in folds:
-        _check_two_classes(y[rows])
         train = np.zeros(len(y), dtype=bool)
         train[rows] = True
         if not is_whole(k) or k < 1 or k > np.count_nonzero(train):
@@ -315,18 +346,24 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     Tricks", 2012), so a step is a dot product, a sigmoid and a rank-1 update.
     The sigmoid is 0.5 + 0.5 tanh(m / 2): the block's rows a and updates u
     hold the exact factors 0.5, so a step is g = tanh(a . V) + 1 - 2y and
-    V -= g u, five ufunc calls.
+    V -= g u, five ufunc calls that write into buffers made once per fit.
     After its rows, a fold steps its first row at rate 0 to the end of the
     epoch's last block; one with fewer columns is padded with zero columns.
     Epoch e's loss takes a decision matrix from epoch e+1's z-scored blocks
     and epoch e's weights, so only a fold's own rows and columns reach it.
+
+    Every row of X is z-scored once per fit, as each fold scales it, into a
+    copy of n F (d + 1) floats: n rows of X, F folds, the widest fold's d
+    columns and the bias. That is 7.9 MB for a 16-subject LOSO of 2208
+    rows and 27 columns, and about 127 MB for 64 subjects. A block of steps
+    then gathers whole rows of that copy in one `np.take`, whose "clip"
+    mode writes straight into the reused block where the default mode
+    would buffer a copy; clipping never moves an index, because the fold
+    checks keep every row within X.
     """
     check_seed(seed)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    X, y = _check_folds(X, y, folds)
     rows = [np.asarray(r) for r, *_ in folds]
-    for r in rows:
-        _check_two_classes(y[r])
     y = y.astype(float)
     F, D, d = len(folds), X.shape[1], max(len(cols) for _, cols, *_ in folds)
     n = np.array([len(r) for r in rows])
@@ -336,16 +373,23 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     C[:, -1] = D + 1
     for f, (_, cols, mean, std) in enumerate(folds):
         C[f, :len(cols)], M[f, :len(cols)], S[f, :len(cols)] = cols, mean, std
+    Z = np.take(Xz, C, axis=1)  # (rows of X, F, d + 1): row r as fold f scales it
+    Z -= M
+    Z /= S
+    Z, lane = Z.reshape(-1, d + 1), np.arange(F)
+    sign = 1.0 - 2.0 * y
     V, rngs = np.zeros((F, d + 1)), [np.random.default_rng(seed) for _ in folds]
     R, i = np.tile([r[0] for r in rows], (N, 1)), np.arange(N)[:, None]
-    # Reused, as fresh block-sized arrays (np.take's default mode makes one) page-fault.
-    idx, z = np.empty((SGD_BLOCK, F, d + 1), dtype=np.intp), np.empty((N, F))
+    # Reused, as fresh block-sized arrays page-fault: a block's rows and
+    # updates, its label signs, and a step's g and g u.
     a, u = np.empty((2, SGD_BLOCK, F, d + 1))
-    loss = np.empty((F, SGD_EPOCHS))
+    c, g, gu = np.empty((SGD_BLOCK, F, 1)), np.empty((F, 1)), np.empty((F, d + 1))
+    steps, g1 = tuple(zip(a, u, c)), g[:, 0]
+    vecdot, tanh, multiply = np.vecdot, np.tanh, np.multiply
+    z, loss = np.empty((N, F)), np.empty((F, SGD_EPOCHS))
 
     def zscored(rb):  # each fold's rows rb[:, f], z-scored, into a
-        np.take(Xz, np.add(rb[..., None] * (D + 2), C, out=idx), out=a, mode="clip")
-        return np.divide(np.subtract(a, M, out=a), S, out=a)
+        return np.take(Z, rb * F + lane, axis=0, out=a, mode="clip")
 
     for epoch in range(SGD_EPOCHS + 1):  # pass e steps epoch e, takes epoch e-1's loss
         for f, r in enumerate(rows):
@@ -362,10 +406,12 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
             a[0] *= 0.5
             a[1:] *= 0.5 * s[:-1, :, None]
             a[..., -1] = 0.5
-            for a_i, u_i, c_i in zip(a, u, 1.0 - 2.0 * y[rb]):
-                g = np.tanh(np.vecdot(a_i, V))
+            c[..., 0] = sign[rb]
+            for a_i, u_i, c_i in steps:
+                vecdot(a_i, V, out=g1)
+                tanh(g, out=g)
                 g += c_i
-                V -= g[:, None] * u_i
+                V -= multiply(g, u_i, out=gu)
             V[:, :-1] *= s[-1][:, None]
         if epoch:
             p = _sigmoid(z)

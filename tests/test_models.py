@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import scalar_knn
 from conftest import one_fold
-from ppgstress import dsp, models
+from ppgstress import dsp, evaluate, models
 from ppgstress.errors import DataError, ValidationError
 
 
@@ -335,6 +336,57 @@ class TestSgd:
         m = models.sgd_logistic_fit(X, y, one_fold(X), seed=2).models[0]
         losses = np.array(m.loss_per_epoch)
         assert np.all(losses[1:] <= losses[:-1] * 1.05)
+
+    def test_one_zscored_copy_per_fit(self, matrix16, monkeypatch):
+        # The fit keeps one z-scored copy of n F (d + 1) floats; everything
+        # else it holds (X with two more columns, the (steps, F) tables and
+        # the block buffers) took 2.8 MB on matrix16, so a second copy breaks SLACK.
+        SLACK = 4 * 2 ** 20
+        X, y = matrix16.X, matrix16.labels
+        specs = [(np.flatnonzero(matrix16.codes != code), f.cols, f.mean, f.std)
+                 for code, f in enumerate(evaluate.fold_stats(matrix16))]
+        monkeypatch.setattr(models, "SGD_EPOCHS", 1)
+        copy = len(X) * len(specs) * (max(len(cols) for _, cols, *_ in specs) + 1) * 8
+        tracemalloc.start()
+        try:
+            models.sgd_logistic_fit(X, y, specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= copy + SLACK
+
+
+def bad_fold_fits():
+    """Arguments to a fit that each break one rule of its fold specs, with the
+    message each must raise; fold 0 is valid, so fold 1 is named."""
+    X, y = gaussian_clouds(n=4, d=3)
+    good = rows, cols, mean, std = one_fold(X)[0]
+    n, d = X.shape
+    return {
+        # The SGD fit trained on the next row's column 0; KNN raised IndexError.
+        "col-past-X": ((X, y, [good, (rows, np.array([d + 2]), mean[:1], std[:1])]),
+                       rf"^fold 1 cols must lie in \[0, {d}\), got values from {d + 2}"),
+        "repeated-col": ((X, y, [good, (rows, np.r_[cols[:-1], 0], mean, std)]),
+                         r"^fold 1 cols must be distinct, got 0 twice$"),
+        "short-mean": ((X, y, [good, (rows, cols, mean[1:], std)]),
+                       rf"^fold 1 mean must hold one value per column \({d}\), got {d - 1}$"),
+        "short-std": ((X, y, [good, (rows, cols, mean, std[1:])]),
+                      rf"^fold 1 std must hold one value per column \({d}\), got {d - 1}$"),
+        "row-past-X": ((X, y, [good, (np.r_[rows, n], cols, mean, std)]),
+                       rf"^fold 1 rows must lie in \[0, {n}\)"),
+        "no-folds": ((X, y, []), r"^need at least one fold$"),
+        "1-D-X": ((X[:, 0], y, [good]), r"^X must be 2-D"),
+        "2-D-y": ((X, y[:, None], [good]), r"^y must be 1-D"),
+        "short-y": ((X, y[1:], [good]), rf"^y must hold one label per row of X \({n}\)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(bad_fold_fits()))
+@pytest.mark.parametrize("fit", [models.knn_fit, models.sgd_logistic_fit])
+def test_bad_fold_specs_refused(fit, case):
+    args, match = bad_fold_fits()[case]
+    with pytest.raises(ValidationError, match=match):
+        fit(*args)
 
 
 def test_linear_models_share_decision_and_fields():
