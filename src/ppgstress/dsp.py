@@ -7,9 +7,12 @@ circle last. A cascade is applied by a block state-space filter
 (`BlockFilter`): every section keeps two states and the sections are coupled
 through their outputs; the signal is cut into BLOCK-sample blocks, one
 matrix product gives every block's zero-state response and its input to the
-state, and a doubling scan carries the state across blocks. Its operators
-are built once per cascade, and designs are cached. Welch uses the periodic
-Hann window and returns a plain `(freqs, power)` pair.
+state, and a doubling scan carries the state across blocks, on a contiguous
+copy of the state columns. Its operators are built once per cascade, and
+designs are cached. `filtfilt` runs both passes in one buffer: it writes the
+reflection-padded signal there, and each pass's output goes back reversed,
+whole blocks at a time. Welch uses the periodic Hann window and returns a
+plain `(freqs, power)` pair.
 """
 
 from __future__ import annotations
@@ -188,24 +191,34 @@ class BlockFilter:
         return cls(np.c_[T.T, psi.T], np.stack([C @ P for P in powers[:BLOCK]], axis=1),
                    powers[BLOCK].T)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Filter x from zero state, as one sequential pass would."""
-        n, width = len(x), self.gain.shape[1]
+    def layout(self, n: int) -> tuple[int, int]:
+        """(gemms, rows): the blocks of n samples as GEMMs of at most GEMM_MACS
+        multiply-adds, with the blocks spread evenly over them."""
         blocks = -(-n // BLOCK)
-        gemms = -(-blocks // max(1, GEMM_MACS // (BLOCK * width)))
-        rows = -(-blocks // gemms)  # blocks per GEMM, spread evenly
-        xb = np.zeros(gemms * rows * BLOCK)  # trailing zeros do not reach y[:n]
-        xb[:n] = x
-        w = (xb.reshape(gemms, rows, BLOCK) @ self.gain).reshape(-1, width)
-        del xb  # freed before the scan: the filter passes set the build's memory peak
-        y, end = w[:, :BLOCK], w[:, BLOCK:]
-        # end[b] becomes the state after block b: a doubling (Hillis-Steele) scan.
+        gemms = -(-blocks // max(1, GEMM_MACS // (BLOCK * self.gain.shape[1])))
+        return gemms, -(-blocks // gemms)
+
+    def __call__(self, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Filter the samples of xb from zero state, as one sequential pass
+        would. xb holds them in (gemms, rows, BLOCK) blocks as `layout` gives,
+        zeros after the last, and is overwritten. The block products go to
+        `out`, of shape (gemms, rows, BLOCK + states), and the output is a
+        (gemms * rows, BLOCK) view of it, its trailing blocks the response to
+        those zeros."""
+        w = np.matmul(xb, self.gain, out=out).reshape(-1, self.gain.shape[1])
+        y = w[:, :BLOCK]
+        # end[b] becomes the state after block b: a doubling (Hillis-Steele)
+        # scan, on a contiguous copy, which runs about five times as fast as
+        # on w's strided columns.
+        end = w[:, BLOCK:].copy()
         M, d = self.step, 1
         while d < len(end):
             end[d:] += end[:-d] @ M
             M, d = M @ M, 2 * d
-        y[1:] += end[:-1] @ self.observe
-        return y.reshape(-1)[:n]
+        # The carried states' response goes into xb, which the product has
+        # spent: a fresh array this size page-faults on every call.
+        y[1:] += np.matmul(end[:-1], self.observe, out=xb.reshape(-1, BLOCK)[1:])
+        return y
 
 
 def freq_response(cascade: BiquadCascade, freqs_hz) -> np.ndarray:
@@ -227,14 +240,29 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     |H|^2.
     """
     x = np.asarray(x, dtype=float)
-    pad = 9 * len(cascade.sos)
-    if len(x) <= pad:
+    n, pad = len(x), 9 * len(cascade.sos)
+    if n <= pad:
         raise DataError(f"input too short for zero-phase filtering: "
-                        f"{len(x)} samples <= pad {pad}")
-    # The padded copy is freed before the backward pass.
-    y = cascade.blocks(np.pad(x, pad, mode="reflect"))
-    y = cascade.blocks(y[::-1])[::-1]
-    return y[pad:len(y) - pad]
+                        f"{n} samples <= pad {pad}")
+    m, f = n + 2 * pad, cascade.blocks
+    gemms, rows = f.layout(m)
+    used = -(-m // BLOCK)  # blocks holding a sample
+    tail = used * BLOCK - m  # zeros after the last sample in its block
+    # One buffer holds each pass's input and, at the end, the output, behind
+    # a block of room: a pass's output is written back reversed as whole
+    # blocks, and its `tail` responses to the zeros land in that room.
+    buf = np.empty(BLOCK + gemms * rows * BLOCK)
+    xb = buf[BLOCK:].reshape(gemms, rows, BLOCK)
+    w = np.empty((gemms, rows, f.gain.shape[1]))
+    buf[BLOCK:BLOCK + pad] = x[pad:0:-1]
+    buf[BLOCK + pad:BLOCK + pad + n] = x
+    buf[BLOCK + pad + n:BLOCK + m] = x[-2:-pad - 2:-1]
+    for _ in range(2):
+        buf[BLOCK + m:] = 0.0  # the zeros after the samples, which a pass overwrites
+        y = f(xb, w)
+        buf[BLOCK - tail:BLOCK - tail + used * BLOCK].reshape(used, BLOCK)[:] \
+            = y[used - 1::-1, ::-1]
+    return buf[BLOCK + pad:BLOCK + pad + n]
 
 
 def welch_hop(segment_len):

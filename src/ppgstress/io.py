@@ -245,8 +245,17 @@ def synth_ppg(
     """Render a PPG trace whose systolic peaks sit at cumsum(rr_plan).
 
     Deterministic for a fixed seed; noise is additive Gaussian. The seed and
-    noise_sigma must pass `SynthCohortSpec`'s checks.
+    noise_sigma must pass `SynthCohortSpec`'s checks. This is the one-subject
+    case of `_synth_traces`.
     """
+    return _synth_traces(rr_plan_ms, fs, noise_sigma, dicrotic, annotations,
+                         [(subject_id, seed, suds)])[0]
+
+
+def _synth_traces(rr_plan_ms, fs: float, noise_sigma: float, dicrotic: bool,
+                  annotations: tuple[ConditionSpan, ...], subjects) -> list[PpgTrace]:
+    """One trace per `(subject_id, seed, suds)` of `subjects`: the pulse train
+    of the shared RR plan, rendered once, plus the noise of the subject's seed."""
     rr = check_array(rr_plan_ms, "rr_plan").astype(float, copy=False)
     if rr.size == 0:
         raise DataError("rr_plan is empty")
@@ -255,14 +264,17 @@ def synth_ppg(
         raise ValidationError(
             f"rr_plan values must lie in [{RR_MIN_MS:g}, {RR_MAX_MS:g}] ms")
     noise_sigma = _check_noise(noise_sigma)
-    check_seed(seed)
+    for _, seed, _ in subjects:
+        check_seed(seed)
     beat_times = np.cumsum(rr) / 1000.0
     n = int(round((beat_times[-1] + PULSE_WIDTH_S) * fs))
-    x = _render_beats(beat_times, fs, n, dicrotic)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        x += rng.normal(0.0, noise_sigma, size=n)
-    return PpgTrace(subject_id, fs, x, annotations, suds)
+    clean = _render_beats(beat_times, fs, n, dicrotic)
+    traces = []
+    for subject_id, seed, suds in subjects:
+        x = (clean + np.random.default_rng(seed).normal(0.0, noise_sigma, size=n)
+             if noise_sigma > 0 else clean.copy())
+        traces.append(PpgTrace(subject_id, fs, x, annotations, suds))
+    return traces
 
 
 def plan_rr(mean_rr_ms: float, lf_ms: float, hf_ms: float, span_s: float,
@@ -301,16 +313,14 @@ def synth_cohort(spec: SynthCohortSpec) -> Dataset:
         t = min(k * 120.0, duration - 0.1)
         suds_at.append((t, (5, 25) if spans[0].contains(t) else (55, 90)))
         k += 1
-    traces = []
+    subjects = []
     for i in range(spec.n_subjects):
         rng = np.random.default_rng([spec.seed, i])
         ratings = tuple(SudsRating(t, int(rng.integers(low, high + 1)))
                         for t, (low, high) in suds_at)
-        traces.append(synth_ppg(
-            rr_plan, spec.fs, spec.noise_sigma, seed=int(rng.integers(2**31)),
-            subject_id=f"S{i + 1:02d}", annotations=spans, suds=ratings,
-        ))
-    return Dataset(tuple(traces))
+        subjects.append((f"S{i + 1:02d}", int(rng.integers(2**31)), ratings))
+    return Dataset(tuple(_synth_traces(rr_plan, spec.fs, spec.noise_sigma, False,
+                                       spans, subjects)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,36 +49,40 @@ def _check_two_classes(y: np.ndarray):
         raise DataError(f"need both classes present, got labels {np.unique(y)}")
 
 
-def _check_folds(X, y, folds) -> tuple[np.ndarray, np.ndarray]:
-    """X as floats and y, for a fit on the fold specs `(rows, cols, mean, std)`.
-
-    Refuses, with a ValidationError, an X that is not 2-D, a y that is not
-    1-D with one label per row of X, no folds, and a fold whose rows or cols
-    are not whole numbers indexing X's rows or columns, whose cols repeat a
-    column (KNN's filter weighs each column once) or whose mean or std does
-    not hold one value per column; the message names the fold and the field.
-    A fold without both classes is a DataError.
-    """
+def _check_fit(X, y, folds) -> tuple[np.ndarray, np.ndarray]:
+    """X as floats and y, for a fit on the fold specs `folds`. Refuses, with a
+    ValidationError, an X that is not 2-D, a y that is not 1-D with one label
+    per row of X, and no folds."""
     X = check_array(X, "X", ndim=2).astype(float, copy=False)
     y = check_array(y, "y")
     if len(y) != len(X):
         raise ValidationError(f"y must hold one label per row of X ({len(X)}), got {len(y)}")
     if not len(folds):
         raise ValidationError("need at least one fold")
-    for f, (rows, cols, mean, std) in enumerate(folds):
-        rows = check_indices(rows, f"fold {f} rows", len(X))
-        cols = np.sort(check_indices(cols, f"fold {f} cols", X.shape[1]))
-        twice = cols[1:][cols[1:] == cols[:-1]]
-        if len(twice):
-            raise ValidationError(f"fold {f} cols must be distinct, got {twice[0]} twice")
-        d = len(cols)
-        for field, v in (("mean", mean), ("std", std)):
-            got = len(check_array(v, f"fold {f} {field}"))
-            if got != d:
-                raise ValidationError(f"fold {f} {field} must hold one value per column "
-                                      f"({d}), got {got}")
-        _check_two_classes(y[rows])
     return X, y
+
+
+def _check_fold(X: np.ndarray, fold, name: str) -> np.ndarray:
+    """The rows of the fold spec `(rows, cols, mean, std)` on X.
+
+    Refuses, with a ValidationError whose message starts with `name` and the
+    field, rows or cols that are not whole numbers indexing X's rows or
+    columns, cols that repeat a column (KNN's filter weighs each column once)
+    and a mean or std that does not hold one value per column.
+    """
+    rows, cols, mean, std = fold
+    rows = check_indices(rows, f"{name} rows", len(X))
+    cols = np.sort(check_indices(cols, f"{name} cols", X.shape[1]))
+    twice = cols[1:][cols[1:] == cols[:-1]]
+    if len(twice):
+        raise ValidationError(f"{name} cols must be distinct, got {twice[0]} twice")
+    d = len(cols)
+    for field, v in (("mean", mean), ("std", std)):
+        got = len(check_array(v, f"{name} {field}"))
+        if got != d:
+            raise ValidationError(f"{name} {field} must hold one value per column "
+                                  f"({d}), got {got}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -159,12 +163,17 @@ class KnnModel:
     the rows `rows` of X (a set; ties are broken by row order in X), restricted
     to the columns `cols` and z-scored by `mean` and `std`, where `fold` is
     `(rows, cols, mean, std)`. The folds of one fit share X, y and `operand`,
-    which is `knn_operand(X)`."""
+    which is `knn_operand(X)`. The fold is checked when the model is built
+    (`_check_fold`), its messages starting with `name`."""
     X: np.ndarray
     y: np.ndarray
     k: int
     fold: tuple
     operand: KnnOperand
+    name: InitVar[str] = "fold"
+
+    def __post_init__(self, name):
+        _check_fold(self.X, self.fold, name)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Fraction of stress labels among the k nearest training rows of the
@@ -303,14 +312,18 @@ def knn_fit(X, y, folds, k: int = 5) -> tuple[KnnModel, ...]:
     with labels `y[rows]`. A single fit on X is the one fold
     `(all rows, all columns, zeros, ones)`.
     """
-    X, y = _check_folds(X, y, folds)
-    for rows, *_ in folds:
+    X, y = _check_fit(X, y, folds)
+    operand = knn_operand(X)
+    fitted = []
+    for f, spec in enumerate(folds):
+        fitted.append(KnnModel(X, y, k, spec, operand, f"fold {f}"))
+        rows = spec[0]
+        _check_two_classes(y[rows])
         train = np.zeros(len(y), dtype=bool)
         train[rows] = True
         if not is_whole(k) or k < 1 or k > np.count_nonzero(train):
             raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
-    operand = knn_operand(X)
-    return tuple(KnnModel(X, y, k, spec, operand) for spec in folds)
+    return tuple(fitted)
 
 
 @dataclass(frozen=True)
@@ -362,7 +375,9 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     checks keep every row within X.
     """
     check_seed(seed)
-    X, y = _check_folds(X, y, folds)
+    X, y = _check_fit(X, y, folds)
+    for f, fold in enumerate(folds):
+        _check_two_classes(y[_check_fold(X, fold, f"fold {f}")])
     rows = [np.asarray(r) for r, *_ in folds]
     y = y.astype(float)
     F, D, d = len(folds), X.shape[1], max(len(cols) for _, cols, *_ in folds)

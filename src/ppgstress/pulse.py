@@ -68,27 +68,50 @@ class RrSeries:
         return self.rejected_times_s.size
 
 
-def _moving_average(y: np.ndarray, width_s: float, fs: float) -> np.ndarray:
-    w = max(1, int(round(width_s * fs)))
-    return np.convolve(y, np.ones(w) / w, mode="same")
+def _moving_averages(y: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """`np.convolve(y, np.ones(w) / w, "same")` for each width w <= len(y),
+    one row per width: the sum of y over samples i - w // 2 to i + (w - 1) // 2,
+    zeros outside y, over w.
+
+    All widths share one running sum c of y, c[0] = 0, held flat for
+    max(widths) samples on either side as the zero padding, so an average is
+    a difference of two sums and a division per sample, whatever w is. The
+    running sum rounds once per sample: with u = 2**-53 and y >= 0, each
+    average is within about 2 u len(y) sum(y) / w of the exact one, where the
+    convolution is within about (w + 1) u max(y).
+    """
+    n, pad = len(y), max(widths)
+    c = np.empty(n + 2 * pad + 1)
+    c[:pad + 1] = 0.0
+    np.cumsum(y, out=c[pad + 1:pad + 1 + n])
+    c[pad + 1 + n:] = c[pad + n]
+    out = np.empty((len(widths), n))
+    for a, w in zip(out, widths):
+        np.subtract(c[pad + (w + 1) // 2:][:n], c[pad - w // 2:][:n], out=a)
+        a /= w
+    return out
 
 
 def detect_peaks(x, fs: float) -> np.ndarray:
     """Peak times (seconds, sub-sample) in a band-pass filtered PPG signal.
 
-    Squared clipped signal, MA(0.111 s) vs MA(0.667 s) + 2% mean offset;
-    blocks at least one MA_peak window wide yield one peak at the block
-    argmax, refined by parabolic interpolation; 0.3 s refractory period.
+    Squared clipped signal, MA(0.111 s) vs MA(0.667 s) + 2% mean offset,
+    both from one running sum (`_moving_averages`); blocks at least one
+    MA_peak window wide yield one peak at the block argmax, refined by
+    parabolic interpolation; 0.3 s refractory period.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 5 * fs:
         raise DataError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
-    y = np.clip(x, 0.0, None) ** 2
+    y = np.maximum(x, 0.0)
+    y *= y  # the clipped square, without a second array
     if not np.any(y > 0):
         return np.empty(0)
-    ma_peak = _moving_average(y, MA_PEAK_S, fs)
-    ma_beat = _moving_average(y, MA_BEAT_S, fs)
-    return _pick_peaks(x, ma_peak > ma_beat + OFFSET_FRAC * np.mean(y), fs)
+    offset = OFFSET_FRAC * np.mean(y)
+    ma_peak, ma_beat = _moving_averages(
+        y, tuple(max(1, int(round(s * fs))) for s in (MA_PEAK_S, MA_BEAT_S)))
+    ma_beat += offset
+    return _pick_peaks(x, ma_peak > ma_beat, fs)
 
 
 def _pick_peaks(x: np.ndarray, above: np.ndarray, fs: float) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ppgstress.models import LDA_RIDGE, LdaModel, _check_two_classes
+from ppgstress.errors import DataError
+from ppgstress.models import LDA_RIDGE, LdaModel
 
 
 def anova_f(X, y) -> np.ndarray:
@@ -33,7 +34,8 @@ def anova_f(X, y) -> np.ndarray:
 
 
 def lda_fit(X, y) -> LdaModel:
-    _check_two_classes(y)
+    if set(np.unique(y).tolist()) != {0, 1}:
+        raise DataError(f"need both classes present, got labels {np.unique(y)}")
     n, d = X.shape
     means = np.stack([X[y == g].mean(axis=0) for g in (0, 1)])
     centered = X - means[y]

@@ -1,8 +1,9 @@
 """Per-block peak picking reference: the two-moving-average detector with one
-Python step per block and per candidate.
+Python step per block and per candidate, and its averages by `np.convolve`.
 
 This is the reference `ppgstress.pulse.detect_peaks` is checked against: the
-array version must return bit-equal peak times.
+array version, whose averages come from a running sum, must return bit-equal
+peak times.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ def detect_peaks(x, fs: float) -> np.ndarray:
     y = np.clip(x, 0.0, None) ** 2
     if not np.any(y > 0):
         return np.empty(0)
-    ma_peak = pulse._moving_average(y, pulse.MA_PEAK_S, fs)
-    ma_beat = pulse._moving_average(y, pulse.MA_BEAT_S, fs)
+    ma_peak = moving_average(y, pulse.MA_PEAK_S, fs)
+    ma_beat = moving_average(y, pulse.MA_BEAT_S, fs)
     return pick_peaks(x, ma_peak > ma_beat + pulse.OFFSET_FRAC * np.mean(y), fs)
+
+
+def moving_average(y: np.ndarray, width_s: float, fs: float) -> np.ndarray:
+    """The mean of y over a centred window of width_s seconds, zeros outside y."""
+    w = max(1, int(round(width_s * fs)))
+    return np.convolve(y, np.ones(w) / w, mode="same")
 
 
 def pick_peaks(x: np.ndarray, above: np.ndarray, fs: float) -> np.ndarray:

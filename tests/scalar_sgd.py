@@ -14,14 +14,14 @@ import numpy as np
 from scipy.special import expit
 
 from ppgstress.errors import DataError
-from ppgstress.models import (SGD_DECAY, SGD_EPOCHS, SGD_L2, SGD_LR0, SgdModel,
-                              _check_two_classes)
+from ppgstress.models import SGD_DECAY, SGD_EPOCHS, SGD_L2, SGD_LR0, SgdModel
 
 
 def sgd_logistic_fit(X, y, epochs: int = SGD_EPOCHS, seed: int = 0) -> SgdModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    _check_two_classes(y)
+    if set(np.unique(y).tolist()) != {0, 1}:
+        raise DataError(f"need both classes present, got labels {np.unique(y)}")
     y = y.astype(float)
     n, d = X.shape
     w = np.zeros(d)

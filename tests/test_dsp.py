@@ -129,6 +129,20 @@ def test_filtfilt_matches_sosfilt(order, fs, low, high):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("tail", [0, 1, dsp.BLOCK - 1])
+def test_filtfilt_any_tail_of_zeros(tail):
+    # The padded signal fills its last block, or leaves 1 or BLOCK - 1 zeros
+    # after it, whose responses each pass's reversed write puts in the room
+    # before the samples.
+    cascade = dsp.design_butter_bandpass(3, 0.5, 8.0, FS)
+    n = 40 * dsp.BLOCK - 2 * 27 - tail
+    x = np.random.default_rng(tail).normal(size=n)
+    want = sosfilt_filtfilt(np.array(cascade.sos), x, 27)
+    got = dsp.filtfilt(cascade, x)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("macs", [1, 5000])
 def test_filtfilt_independent_of_gemm_split(monkeypatch, macs):
     # One block per GEMM, or a few blocks with zero padding after the last.

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -46,3 +47,46 @@ def test_pipeline_runs_without_scipy(pipeline_run):
 
 def test_loso_does_not_import_numpy_ma(pipeline_run):
     assert pipeline_run["numpy.ma"] == {"lda": False, "knn": False, "sgd": False}
+
+
+def private_uses(source: str) -> list[str]:
+    """The `_`-prefixed names of ppgstress that `source` imports or reads as
+    an attribute of a ppgstress module it imported."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ppgstress":
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+                elif node.module == "ppgstress":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.split(".")[0] == "ppgstress")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.startswith("__"):
+            base = ast.unparse(node.value)
+            if base.split(".")[0] in modules:
+                found.append(f"{base}.{node.attr}")
+    return found
+
+
+def test_private_uses_are_found():
+    source = ("from ppgstress import pulse\npulse._moving_averages(y)\n"
+              "from ppgstress.models import LdaModel, _check_fit\n"
+              "import ppgstress.dsp as d\nd._minus_square(1.0, 2.0)\n"
+              "import ppgstress.io\nppgstress.io._render_beats\n"
+              "np._x, pulse.MA_PEAK_S, pulse.__doc__")
+    assert sorted(private_uses(source)) == [
+        "d._minus_square", "ppgstress.io._render_beats", "ppgstress.models._check_fit",
+        "pulse._moving_averages"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("scalar_*.py")),
+                         ids=lambda p: p.name)
+def test_oracles_call_no_private_helper(path):
+    """A `scalar_*.py` oracle that calls a private helper of the package runs
+    the code it is meant to check, so the two cannot disagree there."""
+    assert private_uses(path.read_text()) == []

@@ -389,6 +389,23 @@ def test_bad_fold_specs_refused(fit, case):
         fit(*args)
 
 
+@pytest.mark.parametrize("case", [c for c, (args, _) in bad_fold_fits().items()
+                                  if len(args[2]) == 2])
+def test_bad_fold_refused_by_knn_model(case):
+    (X, y, (_, bad)), match = bad_fold_fits()[case]
+    with pytest.raises(ValidationError, match=match):
+        models.KnnModel(X, y, 1, bad, models.knn_operand(X), "fold 1")
+    with pytest.raises(ValidationError, match=match.replace("fold 1", "fold")):
+        models.KnnModel(X, y, 1, bad, models.knn_operand(X))
+
+
+def test_knn_fit_checks_each_fold_once():
+    X, y = gaussian_clouds(n=4, d=3)
+    with mock.patch.object(models, "_check_fold", wraps=models._check_fold) as check:
+        models.knn_fit(X, y, one_fold(X) * 3, 2)
+    assert [c.args[2] for c in check.call_args_list] == ["fold 0", "fold 1", "fold 2"]
+
+
 def test_linear_models_share_decision_and_fields():
     # perfbench wraps predict_proba on each model class in turn, so a model
     # subclassing another would have its predictions recorded twice.

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import scalar_pulse
 from conftest import assert_bit_equal
-from ppgstress import dsp, io, pulse
+from ppgstress import dsp, io, pulse, windows
 from ppgstress.errors import DataError
 
 FS = 100.0
@@ -126,6 +126,33 @@ def test_detect_peaks_is_bit_equal_to_per_block_loop(fs, noise, decimals, seed):
     if decimals is not None:
         x = np.round(x, decimals)
     assert_bit_equal(pulse.detect_peaks(x, fs), scalar_pulse.detect_peaks(x, fs))
+
+
+@pytest.mark.parametrize("n,w", [(3000, 1), (3000, 2), (3000, 11), (3000, 67),
+                                 (3000, 667), (667, 667), (668, 667), (12, 11),
+                                 (12, 12), (1, 1)])
+def test_moving_averages_match_convolve(n, w):
+    # Spikes and runs of zeros, as in a clipped, squared pulse.
+    rng = np.random.default_rng(n + w)
+    y = np.maximum(rng.normal(size=n), 0.0) ** 2 * 10.0 ** rng.integers(-3, 3, n)
+    want = np.convolve(y, np.ones(w) / w, mode="same")
+    got, = pulse._moving_averages(y, (w,))
+    # The running sum's bound and the convolution's, from the docstring.
+    u = np.finfo(float).eps / 2
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=u * (2 * n * y.sum() / w + (w + 2) * y.max()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("noise", [0.02, 0.2])
+@pytest.mark.parametrize("fs", [25.0, 100.0, 250.0, 1000.0])
+def test_detect_peaks_is_bit_equal_to_convolve_reference_on_cohorts(fs, noise, seed):
+    ds = io.synth_cohort(io.SynthCohortSpec(n_subjects=2, fs=fs, span_s=60.0,
+                                            noise_sigma=noise, seed=seed))
+    cascade = dsp.design_butter_bandpass(windows.FILTER_ORDER, *windows.BAND_HZ, fs)
+    for trace in ds:
+        x = dsp.filtfilt(cascade, trace.samples)
+        assert_bit_equal(pulse.detect_peaks(x, fs), scalar_pulse.detect_peaks(x, fs))
 
 
 class TestToRr:
