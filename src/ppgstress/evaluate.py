@@ -129,10 +129,10 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     if model_kind == "lda":
         fitted = (fold.lda() for fold in folds)
     else:  # only KNN and SGD read the training rows
-        specs = [(np.flatnonzero(matrix.codes != code), fold.cols, fold.mean, fold.std)
-                 for code, fold in enumerate(folds)]
-        fitted = (models.sgd_logistic_fit(X, y, specs, seed).models if model_kind == "sgd"
-                  else models.knn_fit(X, y, specs))
+        train = [models.Fold(X.shape, np.flatnonzero(matrix.codes != code), fold.cols,
+                             fold.mean, fold.std) for code, fold in enumerate(folds)]
+        fitted = (models.sgd_logistic_fit(X, y, train, seed).models if model_kind == "sgd"
+                  else models.knn_fit(X, y, train))
     probs = [model.predict_proba(fold.zscored(X)) for fold, model in zip(folds, fitted)]
     sizes = [len(fold.test) for fold in folds]
     scored = _fold_metrics(y[np.concatenate([fold.test for fold in folds])],

@@ -271,8 +271,8 @@ def _synth_traces(rr_plan_ms, fs: float, noise_sigma: float, dicrotic: bool,
     clean = _render_beats(beat_times, fs, n, dicrotic)
     traces = []
     for subject_id, seed, suds in subjects:
-        x = (clean + np.random.default_rng(seed).normal(0.0, noise_sigma, size=n)
-             if noise_sigma > 0 else clean.copy())
+        x = np.random.default_rng(seed).normal(0.0, noise_sigma, size=n)  # zeros at sigma 0
+        x += clean  # clean holds no -0.0, so at sigma 0 this is clean, bit for bit
         traces.append(PpgTrace(subject_id, fs, x, annotations, suds))
     return traces
 

@@ -2,11 +2,11 @@
 
 Each fitted model exposes a stress-membership probability; the rounded
 probability doubles as a 0.0-1.0 stress level for adaptive consumers.
-SGD has one fit, `sgd_logistic_fit(X, y, folds, seed)`, which steps every
-fold of a LOSO run together and returns their models as an `SgdFolds`; a
-single fit is its one-fold case. KNN likewise has one fit,
-`knn_fit(X, y, folds, k)`, which returns a tuple of its folds' models, all
-sharing one filter operand; a single fit is its one-fold case too.
+KNN and SGD fit the folds of a LOSO run, each a `Fold` of X that is checked
+once, where it is built. `sgd_logistic_fit(X, y, folds, seed)` steps every
+fold together and returns their models as an `SgdFolds`;
+`knn_fit(X, y, folds, k)` returns a tuple of its folds' models, all sharing
+one filter operand. A single fit on X is the fold of all its rows and columns.
 """
 
 from __future__ import annotations
@@ -49,40 +49,54 @@ def _check_two_classes(y: np.ndarray):
         raise DataError(f"need both classes present, got labels {np.unique(y)}")
 
 
+@dataclass(frozen=True)
+class Fold:
+    """The training rows, columns and scaler of one fold of a fit on an X of
+    shape `shape`: it trains on `(X[rows][:, cols] - mean) / std`, labels
+    `y[rows]`. Building one refuses, with a ValidationError that starts with
+    `name` and the field, rows or cols that are not whole numbers indexing
+    such an X, repeated cols (KNN's filter weighs each column once) and a
+    mean or std that does not hold one value per column."""
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    name: InitVar[str] = "fold"
+
+    def __post_init__(self, name):
+        n, D = self.shape
+        object.__setattr__(self, "rows", check_indices(self.rows, f"{name} rows", n))
+        object.__setattr__(self, "cols", check_indices(self.cols, f"{name} cols", D))
+        cols = np.sort(self.cols)
+        twice = cols[1:][cols[1:] == cols[:-1]]
+        if len(twice):
+            raise ValidationError(f"{name} cols must be distinct, got {twice[0]} twice")
+        for field in ("mean", "std"):
+            got = len(check_array(getattr(self, field), f"{name} {field}"))
+            if got != len(cols):
+                raise ValidationError(f"{name} {field} must hold one value per column "
+                                      f"({len(cols)}), got {got}")
+
+    def check_shape(self, X: np.ndarray):
+        if self.shape != X.shape:
+            raise ValidationError(f"fold built for X of shape {self.shape}, got shape {X.shape}")
+
+
 def _check_fit(X, y, folds) -> tuple[np.ndarray, np.ndarray]:
-    """X as floats and y, for a fit on the fold specs `folds`. Refuses, with a
-    ValidationError, an X that is not 2-D, a y that is not 1-D with one label
-    per row of X, and no folds."""
+    """X as floats and y, for a fit on `folds`. Refuses an X that is not 2-D,
+    a y that is not 1-D with one label per row of X, no folds, a fold built for
+    another shape of X (ValidationErrors) and one without both classes (DataError)."""
     X = check_array(X, "X", ndim=2).astype(float, copy=False)
     y = check_array(y, "y")
     if len(y) != len(X):
         raise ValidationError(f"y must hold one label per row of X ({len(X)}), got {len(y)}")
     if not len(folds):
         raise ValidationError("need at least one fold")
+    for fold in folds:
+        fold.check_shape(X)
+        _check_two_classes(y[fold.rows])
     return X, y
-
-
-def _check_fold(X: np.ndarray, fold, name: str) -> np.ndarray:
-    """The rows of the fold spec `(rows, cols, mean, std)` on X.
-
-    Refuses, with a ValidationError whose message starts with `name` and the
-    field, rows or cols that are not whole numbers indexing X's rows or
-    columns, cols that repeat a column (KNN's filter weighs each column once)
-    and a mean or std that does not hold one value per column.
-    """
-    rows, cols, mean, std = fold
-    rows = check_indices(rows, f"{name} rows", len(X))
-    cols = np.sort(check_indices(cols, f"{name} cols", X.shape[1]))
-    twice = cols[1:][cols[1:] == cols[:-1]]
-    if len(twice):
-        raise ValidationError(f"{name} cols must be distinct, got {twice[0]} twice")
-    d = len(cols)
-    for field, v in (("mean", mean), ("std", std)):
-        got = len(check_array(v, f"{name} {field}"))
-        if got != d:
-            raise ValidationError(f"{name} {field} must hold one value per column "
-                                  f"({d}), got {got}")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -159,21 +173,23 @@ def knn_operand(X) -> KnnOperand:
 
 @dataclass(frozen=True)
 class KnnModel:
-    """The k-nearest-neighbour model of one fold of a `knn_fit`: it trains on
-    the rows `rows` of X (a set; ties are broken by row order in X), restricted
-    to the columns `cols` and z-scored by `mean` and `std`, where `fold` is
-    `(rows, cols, mean, std)`. The folds of one fit share X, y and `operand`,
-    which is `knn_operand(X)`. The fold is checked when the model is built
-    (`_check_fold`), its messages starting with `name`."""
+    """The k-nearest-neighbour model of one `Fold` of X, from a `knn_fit`: it
+    trains on the fold's rows of X (a set; ties are broken by row order in X),
+    restricted to its columns and z-scored by its mean and std. The folds of
+    one fit share X, y and `operand`, which is `knn_operand(X)`. Building the
+    model refuses a fold built for another shape of X and a k that is not a
+    whole number from 1 to the fold's count of distinct rows."""
     X: np.ndarray
     y: np.ndarray
     k: int
-    fold: tuple
+    fold: Fold
     operand: KnnOperand
-    name: InitVar[str] = "fold"
 
-    def __post_init__(self, name):
-        _check_fold(self.X, self.fold, name)
+    def __post_init__(self):
+        self.fold.check_shape(self.X)
+        k = self.k
+        if not is_whole(k) or not 1 <= k <= np.count_nonzero(np.bincount(self.fold.rows)):
+            raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Fraction of stress labels among the k nearest training rows of the
@@ -244,7 +260,7 @@ class KnnModel:
         included, is z-scored, measured exactly and sorted stably by distance.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        rows, cols, mean, std = self.fold
+        rows, cols, mean, std = self.fold.rows, self.fold.cols, self.fold.mean, self.fold.std
         mu, W, sq = self.operand
         n, D = sq.shape
         if X.ndim != 2 or X.shape[1] != len(cols):
@@ -304,26 +320,11 @@ class KnnModel:
 
 
 def knn_fit(X, y, folds, k: int = 5) -> tuple[KnnModel, ...]:
-    """The k-nearest-neighbour models of the folds of X, in fold order, which
-    share one centred copy of X as their filter operand (`KnnModel`).
-
-    `folds` is a sequence of `(rows, cols, mean, std)`, as for
-    `sgd_logistic_fit`: fold f trains on `(X[rows][:, cols] - mean) / std`
-    with labels `y[rows]`. A single fit on X is the one fold
-    `(all rows, all columns, zeros, ones)`.
-    """
+    """The k-nearest-neighbour models of the `Fold`s of X, in fold order,
+    which share one centred copy of X as their filter operand (`KnnModel`)."""
     X, y = _check_fit(X, y, folds)
     operand = knn_operand(X)
-    fitted = []
-    for f, spec in enumerate(folds):
-        fitted.append(KnnModel(X, y, k, spec, operand, f"fold {f}"))
-        rows = spec[0]
-        _check_two_classes(y[rows])
-        train = np.zeros(len(y), dtype=bool)
-        train[rows] = True
-        if not is_whole(k) or k < 1 or k > np.count_nonzero(train):
-            raise ValidationError(f"k must be an integer in [1, n_rows], got {k!r}")
-    return tuple(fitted)
+    return tuple(KnnModel(X, y, k, fold, operand) for fold in folds)
 
 
 @dataclass(frozen=True)
@@ -347,11 +348,9 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     SGD_EPOCHS epochs; seeded shuffling each epoch makes the fit
     bit-reproducible.
 
-    `folds` is a sequence of `(rows, cols, mean, std)`: fold f is fitted on
-    `(X[rows][:, cols] - mean) / std` with labels `y[rows]`, as if alone:
-    its own `default_rng(seed)` permutations, step counter, learning rate,
-    losses and divergence check. A single fit on X is the one fold
-    `(all rows, all columns, zeros, ones)`.
+    Each `Fold` of X is fitted on its z-scored rows, as if alone: its own
+    `default_rng(seed)` permutations, step counter, learning rate, losses
+    and divergence check.
 
     Row f of V is fold f's weights, then its bias on a column of ones. Within
     a block of SGD_BLOCK steps the weights are s_t * V, s_t the product of the
@@ -371,30 +370,28 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     rows and 27 columns, and about 127 MB for 64 subjects. A block of steps
     then gathers whole rows of that copy in one `np.take`, whose "clip"
     mode writes straight into the reused block where the default mode
-    would buffer a copy; clipping never moves an index, because the fold
-    checks keep every row within X.
+    would buffer a copy; clipping never moves an index, because every fold
+    was built for X, so its rows lie within X.
     """
     check_seed(seed)
     X, y = _check_fit(X, y, folds)
-    for f, fold in enumerate(folds):
-        _check_two_classes(y[_check_fold(X, fold, f"fold {f}")])
-    rows = [np.asarray(r) for r, *_ in folds]
     y = y.astype(float)
-    F, D, d = len(folds), X.shape[1], max(len(cols) for _, cols, *_ in folds)
-    n = np.array([len(r) for r in rows])
+    F, D, d = len(folds), X.shape[1], max(len(fold.cols) for fold in folds)
+    n = np.array([len(fold.rows) for fold in folds])
     N = -(-n.max() // SGD_BLOCK) * SGD_BLOCK  # steps per epoch, in whole blocks
     Xz = np.c_[X, np.zeros(len(X)), np.ones(len(X))]  # pads short folds; the bias
     C, M, S = np.full((F, d + 1), D), np.zeros((F, d + 1)), np.ones((F, d + 1))
     C[:, -1] = D + 1
-    for f, (_, cols, mean, std) in enumerate(folds):
-        C[f, :len(cols)], M[f, :len(cols)], S[f, :len(cols)] = cols, mean, std
+    for f, fold in enumerate(folds):
+        d_f = len(fold.cols)
+        C[f, :d_f], M[f, :d_f], S[f, :d_f] = fold.cols, fold.mean, fold.std
     Z = np.take(Xz, C, axis=1)  # (rows of X, F, d + 1): row r as fold f scales it
     Z -= M
     Z /= S
     Z, lane = Z.reshape(-1, d + 1), np.arange(F)
     sign = 1.0 - 2.0 * y
     V, rngs = np.zeros((F, d + 1)), [np.random.default_rng(seed) for _ in folds]
-    R, i = np.tile([r[0] for r in rows], (N, 1)), np.arange(N)[:, None]
+    R, i = np.tile([fold.rows[0] for fold in folds], (N, 1)), np.arange(N)[:, None]
     # Reused, as fresh block-sized arrays page-fault: a block's rows and
     # updates, its label signs, and a step's g and g u.
     a, u = np.empty((2, SGD_BLOCK, F, d + 1))
@@ -407,8 +404,8 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
         return np.take(Z, rb * F + lane, axis=0, out=a, mode="clip")
 
     for epoch in range(SGD_EPOCHS + 1):  # pass e steps epoch e, takes epoch e-1's loss
-        for f, r in enumerate(rows):
-            R[:n[f], f] = r[rngs[f].permutation(n[f])]  # fold f's row at each step
+        for f, fold in enumerate(folds):
+            R[:n[f], f] = fold.rows[rngs[f].permutation(n[f])]  # fold f's row at each step
         lr = np.where(i < n, SGD_LR0 / (1.0 + (epoch * n + i) * SGD_DECAY), 0.0)
         V0 = V.copy()  # the weights after epoch e-1
         for rb, lb, zb in zip(*(A.reshape(-1, SGD_BLOCK, F) for A in (R, lr, z))):
@@ -436,8 +433,8 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     if len(bad):  # the error the first diverging fold would raise when fitted alone
         raise DataError(f"SGD diverged (non-finite loss) at epoch {bad[0, 1]}")
     return SgdFolds(tuple(
-        SgdModel(V[f, :len(c)].copy(), float(V[f, -1]), tuple(loss[f].tolist()))
-        for f, (_, c, _, _) in enumerate(folds)))
+        SgdModel(V[f, :len(fold.cols)].copy(), float(V[f, -1]), tuple(loss[f].tolist()))
+        for f, fold in enumerate(folds)))
 
 
 def stress_level(p_stress: float) -> float:

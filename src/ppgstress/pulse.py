@@ -68,26 +68,25 @@ class RrSeries:
         return self.rejected_times_s.size
 
 
-def _moving_averages(y: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+def _moving_averages(c: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     """`np.convolve(y, np.ones(w) / w, "same")` for each width w <= len(y),
     one row per width: the sum of y over samples i - w // 2 to i + (w - 1) // 2,
-    zeros outside y, over w.
+    zeros outside y, over w; y fills c but its first pad + 1 and last pad floats.
 
-    All widths share one running sum c of y, c[0] = 0, held flat for
-    max(widths) samples on either side as the zero padding, so an average is
-    a difference of two sums and a division per sample, whatever w is. The
-    running sum rounds once per sample: with u = 2**-53 and y >= 0, each
-    average is within about 2 u len(y) sum(y) / w of the exact one, where the
-    convolution is within about (w + 1) u max(y).
+    All widths share one running sum of y, which overwrites c: 0 up to c[pad]
+    and held flat for the pad = max(widths) floats after y, as the zero
+    padding, so an average is a difference of two sums and a division per
+    sample, whatever w is. The running sum rounds once per sample: with
+    u = 2**-53 and y >= 0, each average is within about 2 u len(y) sum(y) / w
+    of the exact one, where the convolution is within about (w + 1) u max(y).
     """
-    n, pad = len(y), max(widths)
-    c = np.empty(n + 2 * pad + 1)
+    pad = max(widths)
     c[:pad + 1] = 0.0
-    np.cumsum(y, out=c[pad + 1:pad + 1 + n])
-    c[pad + 1 + n:] = c[pad + n]
-    out = np.empty((len(widths), n))
+    np.cumsum(c[pad + 1:-pad], out=c[pad + 1:-pad])
+    c[-pad:] = c[-pad - 1]
+    out = np.empty((len(widths), len(c) - 2 * pad - 1))
     for a, w in zip(out, widths):
-        np.subtract(c[pad + (w + 1) // 2:][:n], c[pad - w // 2:][:n], out=a)
+        np.subtract(c[pad + (w + 1) // 2:][:len(a)], c[pad - w // 2:][:len(a)], out=a)
         a /= w
     return out
 
@@ -103,15 +102,19 @@ def detect_peaks(x, fs: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if len(x) < 5 * fs:
         raise DataError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
-    y = np.maximum(x, 0.0)
-    y *= y  # the clipped square, without a second array
+    widths = tuple(max(1, int(round(s * fs))) for s in (MA_PEAK_S, MA_BEAT_S))
+    c = np.empty(len(x) + 2 * max(widths) + 1)  # the clipped square, then its sums
+    y = np.maximum(x, 0.0, out=c[max(widths) + 1:][:len(x)])
+    y *= y
     if not np.any(y > 0):
         return np.empty(0)
     offset = OFFSET_FRAC * np.mean(y)
-    ma_peak, ma_beat = _moving_averages(
-        y, tuple(max(1, int(round(s * fs))) for s in (MA_PEAK_S, MA_BEAT_S)))
+    ma_peak, ma_beat = _moving_averages(c, widths)
+    del c, y  # at most three trace lengths are held at once
     ma_beat += offset
-    return _pick_peaks(x, ma_peak > ma_beat, fs)
+    above = ma_peak > ma_beat
+    del ma_peak, ma_beat
+    return _pick_peaks(x, above, fs)
 
 
 def _pick_peaks(x: np.ndarray, above: np.ndarray, fs: float) -> np.ndarray:

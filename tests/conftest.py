@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ppgstress import io, pulse, windows
+from ppgstress import io, models, pulse, windows
 
 # A property that fails only in CI prints the blob that reproduces it
 # (`@reproduce_failure`); local runs keep Hypothesis' defaults.
@@ -27,10 +27,10 @@ def assert_bit_equal(got, want):
 
 
 def one_fold(X):
-    """The fold of every row and column of X, unscaled: with it,
-    `models.sgd_logistic_fit` and `models.knn_fit` are single fits on X."""
+    """The `models.Fold` of every row and column of X, unscaled, in a list:
+    with it, `models.sgd_logistic_fit` and `models.knn_fit` are single fits on X."""
     n, d = np.shape(X)
-    return [(np.arange(n), np.arange(d), np.zeros(d), np.ones(d))]
+    return [models.Fold((n, d), np.arange(n), np.arange(d), np.zeros(d), np.ones(d))]
 
 
 def modulated_rr(mod_hz, amp_ms=50.0, mean_ms=1000.0, span_s=300.0):

@@ -148,6 +148,15 @@ class TestKnn:
         model = models.KnnModel(X, y, k, one_fold(X)[0], models.knn_operand(X))
         np.testing.assert_array_equal(model.predict_proba(T), want)
 
+    # Built directly, k=50 raised a bare ValueError at predict, k=0 gave nan
+    # probabilities and k=2.5 and True raised bare TypeErrors.
+    @pytest.mark.parametrize("k", [50, 0, 2.5, True])
+    def test_model_refuses_k_it_cannot_serve(self, k):
+        X, y = gaussian_clouds(n=10)
+        with pytest.raises(ValidationError,
+                           match=rf"^k must be an integer in \[1, n_rows\], got {k!r}$"):
+            models.KnnModel(X, y, k, one_fold(X)[0], models.knn_operand(X))
+
     def test_k_validation(self):
         X, y = gaussian_clouds(n=3)
         with pytest.raises(ValidationError):
@@ -187,7 +196,7 @@ class TestKnn:
 @st.composite
 def knn_folds_case(draw):
     """A matrix of a few subjects whose rows interleave, each subject's LOSO
-    fold as `(rows, cols, mean, std)` with its own k, and each fold's test rows.
+    fold as a `models.Fold` with its own k, and each fold's test rows.
 
     Rows come from a small pool, so duplicate rows and exact distance ties are
     common. A fold's scaler comes from its finite training values, and a
@@ -228,7 +237,7 @@ def knn_folds_case(draw):
         if not len(keep):
             continue
         cols = rng.permutation(keep)
-        folds.append((rows, cols, mean[cols], std[cols]))
+        folds.append(models.Fold(X.shape, rows, cols, mean[cols], std[cols]))
         k = draw(st.one_of(st.just(len(rows)), st.integers(1, len(rows))))
         ks.append(k)
         huge = np.sqrt(models._KNN_SCALE_CAP / len(cols)) * rng.choice(
@@ -253,9 +262,9 @@ class TestKnnFolds:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"), \
                 mock.patch.object(dsp, "GEMM_MACS", macs):
             for fold, k, (test, huge) in zip(folds, ks, tests):
-                T = np.r_[models.zscore(X, test, *fold[1:]), huge]
-                Z = models.zscore(X, *fold)
-                want = y[fold[0]][scalar_knn.knn_indices(Z, T, k)].mean(axis=1)
+                T = np.r_[models.zscore(X, test, fold.cols, fold.mean, fold.std), huge]
+                Z = models.zscore(X, fold.rows, fold.cols, fold.mean, fold.std)
+                want = y[fold.rows][scalar_knn.knn_indices(Z, T, k)].mean(axis=1)
                 got = models.KnnModel(X, y, k, fold, operand).predict_proba(T)
                 np.testing.assert_array_equal(got, want)
 
@@ -281,12 +290,13 @@ class TestKnnFolds:
     def test_fit_is_the_folds_of_one_operand(self):
         X, y = gaussian_clouds(seed=3, d=2, n=30)
         rows = np.flatnonzero(np.arange(60) % 3 != 0)
-        spec = (rows, np.array([1, 0]), X[rows][:, [1, 0]].mean(axis=0),
-                X[rows][:, [1, 0]].std(axis=0, ddof=1))
-        fitted = models.knn_fit(X, y, [spec, spec], k=4)
+        cols = np.array([1, 0])
+        mean, std = X[rows][:, cols].mean(axis=0), X[rows][:, cols].std(axis=0, ddof=1)
+        fold = models.Fold(X.shape, rows, cols, mean, std)
+        fitted = models.knn_fit(X, y, [fold, fold], k=4)
         assert len(fitted) == 2 and fitted[0].operand is fitted[1].operand
-        T = models.zscore(X, np.arange(0, 60, 3), *spec[1:])
-        Z = models.zscore(X, *spec)
+        T = models.zscore(X, np.arange(0, 60, 3), cols, mean, std)
+        Z = models.zscore(X, rows, cols, mean, std)
         alone = models.knn_fit(Z, y[rows], one_fold(Z), 4)[0]
         for m in fitted:
             np.testing.assert_array_equal(m.predict_proba(T), alone.predict_proba(T))
@@ -294,15 +304,16 @@ class TestKnnFolds:
     @pytest.mark.parametrize("k", [0, 7])
     def test_k_checked_against_each_folds_distinct_rows(self, k):
         X, y = gaussian_clouds(n=4)
-        spec = (np.array([0, 1, 4, 5, 5, 6, 7, 7]), np.arange(1), np.zeros(1), np.ones(1))
+        fold = models.Fold(X.shape, np.array([0, 1, 4, 5, 5, 6, 7, 7]), np.arange(1),
+                           np.zeros(1), np.ones(1))
         with pytest.raises(ValidationError, match="integer"):
-            models.knn_fit(X, y, [spec], k=k)
+            models.knn_fit(X, y, [fold], k=k)
 
     def test_fold_without_both_classes_refused(self):
         X, y = gaussian_clouds(n=4)
-        spec = (np.arange(4), np.arange(1), np.zeros(1), np.ones(1))
+        fold = models.Fold(X.shape, np.arange(4), np.arange(1), np.zeros(1), np.ones(1))
         with pytest.raises(DataError, match="both classes"):
-            models.knn_fit(X, y, [spec])
+            models.knn_fit(X, y, [fold])
 
 
 class TestSgd:
@@ -343,10 +354,11 @@ class TestSgd:
         # the block buffers) took 2.8 MB on matrix16, so a second copy breaks SLACK.
         SLACK = 4 * 2 ** 20
         X, y = matrix16.X, matrix16.labels
-        specs = [(np.flatnonzero(matrix16.codes != code), f.cols, f.mean, f.std)
+        specs = [models.Fold(X.shape, np.flatnonzero(matrix16.codes != code), f.cols,
+                             f.mean, f.std)
                  for code, f in enumerate(evaluate.fold_stats(matrix16))]
         monkeypatch.setattr(models, "SGD_EPOCHS", 1)
-        copy = len(X) * len(specs) * (max(len(cols) for _, cols, *_ in specs) + 1) * 8
+        copy = len(X) * len(specs) * (max(len(f.cols) for f in specs) + 1) * 8
         tracemalloc.start()
         try:
             models.sgd_logistic_fit(X, y, specs)
@@ -356,28 +368,41 @@ class TestSgd:
         assert peak <= copy + SLACK
 
 
-def bad_fold_fits():
-    """Arguments to a fit that each break one rule of its fold specs, with the
-    message each must raise; fold 0 is valid, so fold 1 is named."""
-    X, y = gaussian_clouds(n=4, d=3)
-    good = rows, cols, mean, std = one_fold(X)[0]
+def bad_folds(X):
+    """The fields of a fold of X that each break one of its rules, with the
+    message that building it as fold 1 must raise."""
     n, d = X.shape
+    rows, cols, mean, std = np.arange(n), np.arange(d), np.zeros(d), np.ones(d)
     return {
         # The SGD fit trained on the next row's column 0; KNN raised IndexError.
-        "col-past-X": ((X, y, [good, (rows, np.array([d + 2]), mean[:1], std[:1])]),
+        "col-past-X": ((rows, np.array([d + 2]), mean[:1], std[:1]),
                        rf"^fold 1 cols must lie in \[0, {d}\), got values from {d + 2}"),
-        "repeated-col": ((X, y, [good, (rows, np.r_[cols[:-1], 0], mean, std)]),
+        "repeated-col": ((rows, np.r_[cols[:-1], 0], mean, std),
                          r"^fold 1 cols must be distinct, got 0 twice$"),
-        "short-mean": ((X, y, [good, (rows, cols, mean[1:], std)]),
+        "short-mean": ((rows, cols, mean[1:], std),
                        rf"^fold 1 mean must hold one value per column \({d}\), got {d - 1}$"),
-        "short-std": ((X, y, [good, (rows, cols, mean, std[1:])]),
+        "short-std": ((rows, cols, mean, std[1:]),
                       rf"^fold 1 std must hold one value per column \({d}\), got {d - 1}$"),
-        "row-past-X": ((X, y, [good, (np.r_[rows, n], cols, mean, std)]),
+        "row-past-X": ((np.r_[rows, n], cols, mean, std),
                        rf"^fold 1 rows must lie in \[0, {n}\)"),
-        "no-folds": ((X, y, []), r"^need at least one fold$"),
-        "1-D-X": ((X[:, 0], y, [good]), r"^X must be 2-D"),
-        "2-D-y": ((X, y[:, None], [good]), r"^y must be 1-D"),
-        "short-y": ((X, y[1:], [good]), rf"^y must hold one label per row of X \({n}\)"),
+    }
+
+
+def bad_fold_fits():
+    """Calls that build a fit's arguments, each breaking one rule of the fit
+    or of its folds, with the message each must raise. Fold 0 is valid, and a
+    bad fold is built as fold 1, so building it raises."""
+    X, y = gaussian_clouds(n=4, d=3)
+    good = one_fold(X)
+    cases = {case: (lambda f=fields: (X, y, good + [models.Fold(X.shape, *f, "fold 1")]),
+                    match)
+             for case, (fields, match) in bad_folds(X).items()}
+    return cases | {
+        "no-folds": (lambda: (X, y, []), r"^need at least one fold$"),
+        "1-D-X": (lambda: (X[:, 0], y, good), r"^X must be 2-D"),
+        "2-D-y": (lambda: (X, y[:, None], good), r"^y must be 1-D"),
+        "short-y": (lambda: (X, y[1:], good),
+                    rf"^y must hold one label per row of X \({len(X)}\)"),
     }
 
 
@@ -386,24 +411,41 @@ def bad_fold_fits():
 def test_bad_fold_specs_refused(fit, case):
     args, match = bad_fold_fits()[case]
     with pytest.raises(ValidationError, match=match):
-        fit(*args)
+        fit(*args())
 
 
-@pytest.mark.parametrize("case", [c for c, (args, _) in bad_fold_fits().items()
-                                  if len(args[2]) == 2])
+@pytest.mark.parametrize("case", list(bad_folds(np.zeros((8, 3)))))
 def test_bad_fold_refused_by_knn_model(case):
-    (X, y, (_, bad)), match = bad_fold_fits()[case]
+    X, y = gaussian_clouds(n=4, d=3)
+    fields, match = bad_folds(X)[case]
     with pytest.raises(ValidationError, match=match):
-        models.KnnModel(X, y, 1, bad, models.knn_operand(X), "fold 1")
+        models.KnnModel(X, y, 1, models.Fold(X.shape, *fields, "fold 1"), models.knn_operand(X))
     with pytest.raises(ValidationError, match=match.replace("fold 1", "fold")):
-        models.KnnModel(X, y, 1, bad, models.knn_operand(X))
+        models.KnnModel(X, y, 1, models.Fold(X.shape, *fields), models.knn_operand(X))
 
 
 def test_knn_fit_checks_each_fold_once():
+    # A fold's indices are checked where it is built, and not again by the fit.
     X, y = gaussian_clouds(n=4, d=3)
-    with mock.patch.object(models, "_check_fold", wraps=models._check_fold) as check:
-        models.knn_fit(X, y, one_fold(X) * 3, 2)
-    assert [c.args[2] for c in check.call_args_list] == ["fold 0", "fold 1", "fold 2"]
+    with mock.patch.object(models, "check_indices", wraps=models.check_indices) as check:
+        folds = [models.Fold(X.shape, np.arange(8), np.arange(3), np.zeros(3), np.ones(3),
+                             f"fold {f}") for f in range(3)]
+        models.knn_fit(X, y, folds, 2)
+    assert [c.args[1] for c in check.call_args_list] \
+        == [f"fold {f} {field}" for f in range(3) for field in ("rows", "cols")]
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (8, 4)])
+@pytest.mark.parametrize("fit", [
+    models.knn_fit, models.sgd_logistic_fit,
+    pytest.param(lambda X, y, folds: models.KnnModel(X, y, 1, folds[0], models.knn_operand(X)),
+                 id="KnnModel")])
+def test_fold_for_another_shape_refused(fit, shape):
+    X, y = gaussian_clouds(n=4, d=3)
+    fold = models.Fold(shape, np.arange(8), np.arange(3), np.zeros(3), np.ones(3))
+    with pytest.raises(ValidationError, match=rf"^fold built for X of shape "
+                                              rf"\({shape[0]}, {shape[1]}\), got shape \(8, 3\)$"):
+        fit(X, y, [fold])
 
 
 def test_linear_models_share_decision_and_fields():

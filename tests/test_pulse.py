@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,9 @@ def test_moving_averages_match_convolve(n, w):
     rng = np.random.default_rng(n + w)
     y = np.maximum(rng.normal(size=n), 0.0) ** 2 * 10.0 ** rng.integers(-3, 3, n)
     want = np.convolve(y, np.ones(w) / w, mode="same")
-    got, = pulse._moving_averages(y, (w,))
+    c = np.empty(n + 2 * w + 1)  # y from c[w + 1] on, and w floats of room after it
+    c[w + 1:w + 1 + n] = y
+    got, = pulse._moving_averages(c, (w,))
     # The running sum's bound and the convolution's, from the docstring.
     u = np.finfo(float).eps / 2
     np.testing.assert_allclose(got, want, rtol=0,
@@ -153,6 +157,23 @@ def test_detect_peaks_is_bit_equal_to_convolve_reference_on_cohorts(fs, noise, s
     for trace in ds:
         x = dsp.filtfilt(cascade, trace.samples)
         assert_bit_equal(pulse.detect_peaks(x, fs), scalar_pulse.detect_peaks(x, fs))
+
+
+def test_detect_peaks_holds_three_trace_lengths():
+    # The clipped square is summed in place and the averages are freed before
+    # the peaks are picked: a fresh array for the square took 4.0 lengths.
+    trace, = io.synth_cohort(io.SynthCohortSpec(n_subjects=1, seed=0))
+    cascade = dsp.design_butter_bandpass(windows.FILTER_ORDER, *windows.BAND_HZ, trace.fs)
+    x = dsp.filtfilt(cascade, trace.samples)
+    assert len(x) == 84090
+    pulse.detect_peaks(x, trace.fs)  # warm: first calls allocate numpy's caches
+    tracemalloc.start()
+    try:
+        pulse.detect_peaks(x, trace.fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * x.nbytes
 
 
 class TestToRr:

@@ -76,7 +76,7 @@ def test_unequal_fold_sizes(matrix16, monkeypatch):
         small.subjects + dup.subjects, np.r_[small.labels, dup.labels],
         np.r_[small.starts, dup.starts], np.r_[small.X, dup.X], small.columns)
     folds, fitted, report = sgd_loso(monkeypatch, doubled, k=5)
-    assert len({len(rows) for rows, *_ in folds}) > 1
+    assert len({len(fold.rows) for fold in folds}) > 1
     batch = models.SgdFolds(fitted)
     assert len(batch.loss_per_epoch) == 50
     assert batch.loss_per_epoch[-1] == tuple(m.loss_per_epoch[-1] for m in fitted)
@@ -92,7 +92,7 @@ def test_fold_dropping_zero_variance_column(matrix16, monkeypatch):
                                    small.columns)
     k = len(varied.columns)
     folds, fitted, report = sgd_loso(monkeypatch, varied, k)
-    assert sorted(len(cols) for _, cols, *_ in folds) == [k - 1, k]
+    assert sorted(len(fold.cols) for fold in folds) == [k - 1, k]
     assert_matches_reference(varied, k, fitted, report)
 
 
@@ -118,14 +118,14 @@ def test_non_finite_values_outside_a_fold_do_not_reach_it(matrix16):
     X[rows_a[0::2], 0], X[rows_a[1::2], 0] = np.inf, np.nan
     D = X.shape[1]
     cols_a, cols_b = np.arange(D - 1, 0, -1), np.arange(D)  # fold a is padded
-    folds = [(rows, cols, X[np.ix_(rows, cols)].mean(axis=0),
-              X[np.ix_(rows, cols)].std(axis=0, ddof=1))
+    folds = [models.Fold(X.shape, rows, cols, X[np.ix_(rows, cols)].mean(axis=0),
+                         X[np.ix_(rows, cols)].std(axis=0, ddof=1))
              for rows, cols in ((rows_a, cols_a), (rows_b, cols_b))]
     fitted = models.sgd_logistic_fit(X, y, folds).models
-    for (rows, cols, mean, std), model in zip(folds, fitted):
-        Z = (X[np.ix_(rows, cols)] - mean) / std
+    for fold, model in zip(folds, fitted):
+        Z = (X[np.ix_(fold.rows, fold.cols)] - fold.mean) / fold.std
         assert np.isfinite(model.weights).all()
-        assert_close_to_reference(model, Z, y[rows], Z)
+        assert_close_to_reference(model, Z, y[fold.rows], Z)
 
 
 def test_near_constant_column_keeps_loss_precision(monkeypatch):
@@ -136,7 +136,7 @@ def test_near_constant_column_keeps_loss_precision(monkeypatch):
     # mean @ (w / std)) cancels away the losses' precision.
     X[:, 0] = 1000.0 + 1e-9 * X[:, 0]
     mean, std = X.mean(axis=0), X.std(axis=0, ddof=1)
-    fold = (np.arange(150), np.arange(3), mean, std)
+    fold = models.Fold(X.shape, np.arange(150), np.arange(3), mean, std)
     monkeypatch.setattr(models, "SGD_EPOCHS", 5)
     model = models.sgd_logistic_fit(X, y, [fold]).models[0]
     Z = (X - mean) / std
@@ -148,12 +148,12 @@ def test_fold_in_batch_equals_fold_alone(matrix16, monkeypatch):
     s02 = small.rows_for("S02")
     trimmed = small.take(~s02 | (np.cumsum(s02) <= 90))  # S02's first 90 rows
     folds, fitted, _ = sgd_loso(monkeypatch, trimmed, k=8)
-    assert len({len(rows) for rows, *_ in folds}) > 1
+    assert len({len(fold.rows) for fold in folds}) > 1
     # Different column sets, and one set in different orders.
-    sets = {frozenset(cols) for _, cols, *_ in folds}
-    assert 1 < len(sets) < len({tuple(cols) for _, cols, *_ in folds})
-    for spec, model in zip(folds, fitted):
-        alone = models.sgd_logistic_fit(trimmed.X, trimmed.labels, [spec]).models[0]
+    sets = {frozenset(fold.cols) for fold in folds}
+    assert 1 < len(sets) < len({tuple(fold.cols) for fold in folds})
+    for fold, model in zip(folds, fitted):
+        alone = models.sgd_logistic_fit(trimmed.X, trimmed.labels, [fold]).models[0]
         assert np.array_equal(model.weights, alone.weights) and model.bias == alone.bias
         np.testing.assert_allclose(model.loss_per_epoch, alone.loss_per_epoch,
                                    rtol=0, atol=TOL)
@@ -168,8 +168,8 @@ def test_divergence_raises_reference_error(monkeypatch):
     with pytest.raises(DataError) as ref:
         scalar_sgd.sgd_logistic_fit(X[20:], y[20:], epochs=5)
     scaling = (np.zeros(3), np.ones(3))
-    folds = [(np.arange(20), np.arange(3), *scaling),
-             (np.arange(20, 40), np.arange(3), *scaling)]
+    folds = [models.Fold(X.shape, np.arange(20), np.arange(3), *scaling),
+             models.Fold(X.shape, np.arange(20, 40), np.arange(3), *scaling)]
     monkeypatch.setattr(models, "SGD_EPOCHS", 5)
     with pytest.raises(DataError) as got:
         models.sgd_logistic_fit(X, y, folds)
