@@ -3,27 +3,26 @@
 The band-pass is built as `scipy.signal.butter(..., output="sos")` builds it:
 analog Butterworth prototype -> band transformation -> bilinear transform
 with prewarped edges -> second-order sections, the pole closest to the unit
-circle last. A cascade is applied by a block state-space filter
-(`BlockFilter`): every section keeps two states and the sections are coupled
-through their outputs; the signal is cut into BLOCK-sample blocks, one
-matrix product gives every block's zero-state response and its input to the
-state, and a doubling scan carries the state across blocks, on a contiguous
-copy of the state columns. Its operators are built once per cascade, and
-designs are cached. `filtfilt` runs both passes in one buffer: it writes the
-reflection-padded signal there, and each pass's output goes back reversed,
-whole blocks at a time. Welch uses the periodic Hann window and returns a
-plain `(freqs, power)` pair.
+circle last. A `BiquadCascade` is also its own block state-space filter:
+every section keeps two states and the sections are coupled through their
+outputs; the signal is cut into BLOCK-sample blocks, one matrix product gives
+every block's zero-state response and its input to the state, and a doubling
+scan carries the state across blocks, on a contiguous copy of the state
+columns. The cascade builds these operators, and designs are cached. `filtfilt`
+runs both passes in one buffer: it writes the reflection-padded signal there,
+and each pass's output goes back reversed, whole blocks at a time. Welch uses
+the periodic Hann window and returns a plain `(freqs, power)` pair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, is_whole
 
 # Samples per block of the state-space filter.
 BLOCK = 32
@@ -35,29 +34,17 @@ BLOCK = 32
 GEMM_MACS = 2 ** 18
 
 
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Second-order sections (b0,b1,b2,a1,a2 per row; a0 normalized to 1)."""
-
-    sos: np.ndarray
-    fs: float
-
-    @functools.cached_property
-    def blocks(self) -> "BlockFilter":
-        return BlockFilter.of(self.sos)
-
-
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def design_butter_bandpass(order: int, low_hz: float, high_hz: float,
                            fs: float) -> BiquadCascade:
     """Digital Butterworth band-pass as a biquad cascade.
 
     Analog prototype -> band transformation -> bilinear transform with
     prewarped edges, so the -3 dB points land on low_hz/high_hz. Designs are
-    cached, so every trace at one fs shares one cascade and its filter.
+    cached, so every trace at one fs shares one cascade and its operators.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
+    if not (is_whole(order) and order >= 1):
+        raise ValidationError(f"order must be a whole number >= 1, got {order!r}")
     if not 0 < low_hz < high_hz < fs / 2:
         raise ValidationError(
             f"need 0 < low < high < fs/2, got ({low_hz}, {high_hz}) at fs={fs}")
@@ -135,8 +122,9 @@ def _minus_square(a: float, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class BlockFilter:
-    """A cascade's state-space form, acted on BLOCK samples at a time.
+class BiquadCascade:
+    """Second-order sections (b0,b1,b2,a1,a2 per row; a0 normalized to 1),
+    and their state-space form, acted on BLOCK samples at a time.
 
     With states s and input x, one sample is y = C s + D x, s' = A s + B x.
     For a block x_0..x_{L-1} starting in state s: y_k = C A^k s +
@@ -153,18 +141,20 @@ class BlockFilter:
     8, 0.1-3 Hz at 1000 Hz); in this basis it stays at round-off.
     """
 
-    gain: np.ndarray     # (L, L + n): [T^T | Psi^T], T the impulse Toeplitz
-    observe: np.ndarray  # (n, L): column k of the block's (C A^k)^T
-    step: np.ndarray     # (n, n): (A^L)^T, the state carried across a block
+    sos: np.ndarray
+    fs: float
+    # Built from sos when the cascade is made; T is the impulse Toeplitz.
+    gain: np.ndarray = field(init=False, repr=False)     # (L, L + n): [T^T | Psi^T]
+    observe: np.ndarray = field(init=False, repr=False)  # (n, L): column k is (C A^k)^T
+    step: np.ndarray = field(init=False, repr=False)     # (n, n): (A^L)^T, across a block
 
-    @classmethod
-    def of(cls, sos: np.ndarray) -> "BlockFilter":
-        n = 2 * len(sos)
+    def __post_init__(self):
+        n = 2 * len(self.sos)
         # Rows: each state's next value, then the output, over [s, x].
         A = np.zeros((n, n + 1))
         out = np.zeros(n + 1)
         out[n] = 1.0
-        for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        for i, (b0, b1, b2, _, a1, a2) in enumerate(self.sos):
             # DF-II-T: y = w1 + b0 u, w' = [[-a1, 1], [-a2, 0]] w + beta u.
             beta = np.array([b1 - a1 * b0, b2 - a2 * b0])
             sigma = -a1 / 2
@@ -188,8 +178,10 @@ class BlockFilter:
         lag = k[:, None] - k[None, :]
         T = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
         psi = np.stack([powers[BLOCK - 1 - j] @ B for j in k], axis=1)
-        return cls(np.c_[T.T, psi.T], np.stack([C @ P for P in powers[:BLOCK]], axis=1),
-                   powers[BLOCK].T)
+        object.__setattr__(self, "gain", np.c_[T.T, psi.T])
+        object.__setattr__(self, "observe",
+                           np.stack([C @ P for P in powers[:BLOCK]], axis=1))
+        object.__setattr__(self, "step", powers[BLOCK].T)
 
     def layout(self, n: int) -> tuple[int, int]:
         """(gemms, rows): the blocks of n samples as GEMMs of at most GEMM_MACS
@@ -244,8 +236,8 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     if n <= pad:
         raise DataError(f"input too short for zero-phase filtering: "
                         f"{n} samples <= pad {pad}")
-    m, f = n + 2 * pad, cascade.blocks
-    gemms, rows = f.layout(m)
+    m = n + 2 * pad
+    gemms, rows = cascade.layout(m)
     used = -(-m // BLOCK)  # blocks holding a sample
     tail = used * BLOCK - m  # zeros after the last sample in its block
     # One buffer holds each pass's input and, at the end, the output, behind
@@ -253,13 +245,13 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     # blocks, and its `tail` responses to the zeros land in that room.
     buf = np.empty(BLOCK + gemms * rows * BLOCK)
     xb = buf[BLOCK:].reshape(gemms, rows, BLOCK)
-    w = np.empty((gemms, rows, f.gain.shape[1]))
+    w = np.empty((gemms, rows, cascade.gain.shape[1]))
     buf[BLOCK:BLOCK + pad] = x[pad:0:-1]
     buf[BLOCK + pad:BLOCK + pad + n] = x
     buf[BLOCK + pad + n:BLOCK + m] = x[-2:-pad - 2:-1]
     for _ in range(2):
         buf[BLOCK + m:] = 0.0  # the zeros after the samples, which a pass overwrites
-        y = f(xb, w)
+        y = cascade(xb, w)
         buf[BLOCK - tail:BLOCK - tail + used * BLOCK].reshape(used, BLOCK)[:] \
             = y[used - 1::-1, ::-1]
     return buf[BLOCK + pad:BLOCK + pad + n]
@@ -287,8 +279,8 @@ def welch_psd(x, fs: float, segment_len: int) -> tuple[np.ndarray, np.ndarray]:
     approximates the signal variance (within windowing bias, roughly +-10%).
     """
     x = np.asarray(x, dtype=float)
-    if segment_len < 8:
-        raise ValidationError(f"segment_len must be >= 8, got {segment_len}")
+    if not (is_whole(segment_len) and segment_len >= 8):
+        raise ValidationError(f"segment_len must be a whole number >= 8, got {segment_len!r}")
     if x.shape[-1] < segment_len:
         raise DataError(f"sequence of {x.shape[-1]} samples shorter than one "
                         f"segment ({segment_len})")

@@ -60,7 +60,11 @@ class RrSeries:
                                   repr=False, compare=False)
 
     def __post_init__(self):
-        if np.any(np.diff(self.peak_times_s) <= 0):
+        if len(self.rr_ms) != len(self.rr_times_s):
+            raise DataError(f"{len(self.rr_ms)} intervals but "
+                            f"{len(self.rr_times_s)} interval times")
+        if any(np.any(np.diff(t) <= 0) for t in
+               (self.peak_times_s, self.rr_times_s, self.rejected_times_s)):
             raise DataError("peak times must be strictly increasing")
 
     @property

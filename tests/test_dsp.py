@@ -24,6 +24,16 @@ class TestDesign:
         with pytest.raises(ValidationError):
             dsp.design_butter_bandpass(0, 0.5, 8.0, FS)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, 0, -1])
+    def test_order_not_whole_number_from_one_refused(self, order):
+        # Order 2.5 would build two sections with |H(2 Hz)| of 0.0068, and
+        # True an order-1 design. The cached design of the equal whole
+        # order must not stand in for 3.0 or True.
+        if order >= 1:
+            dsp.design_butter_bandpass(int(order), 0.5, 8.0, FS)
+        with pytest.raises(ValidationError, match="order must be a whole number >= 1"):
+            dsp.design_butter_bandpass(order, 0.5, 8.0, FS)
+
     def test_three_biquads_for_order_three(self, cascade):
         assert cascade.sos.shape == (3, 6)
 
@@ -95,7 +105,8 @@ def test_design_matches_scipy_butter(order, fs, low, high):
 def test_designs_cached_and_read_only():
     a = dsp.design_butter_bandpass(3, 0.5, 8.0, FS)
     assert dsp.design_butter_bandpass(3, 0.5, 8.0, FS) is a
-    assert a.blocks is a.blocks
+    assert a.gain.shape == (dsp.BLOCK, dsp.BLOCK + 6)
+    assert a.observe.shape == (6, dsp.BLOCK) and a.step.shape == (6, 6)
     with pytest.raises(ValueError):
         a.sos[0, 0] = 1.0
 
@@ -267,6 +278,12 @@ class TestWelch:
                                     detrend="constant", scaling="density")
         np.testing.assert_array_equal(got_freqs, freqs)
         np.testing.assert_allclose(got_power, power, rtol=0, atol=1e-12 * power.max())
+
+    @pytest.mark.parametrize("segment_len", [16.0, 256.0, True, 7])
+    def test_segment_len_not_whole_number_from_eight_refused(self, segment_len):
+        with pytest.raises(ValidationError,
+                           match="segment_len must be a whole number >= 8"):
+            dsp.welch_psd(np.ones(1024), 4.0, segment_len)
 
     def test_short_sequence_rejected(self):
         with pytest.raises(DataError):

@@ -186,6 +186,8 @@ class TestToRr:
         rr = pulse.to_rr([0.0, 1.0, 3.5, 4.5])
         np.testing.assert_allclose(rr.rr_ms, [1000.0, 1000.0])
         assert rr.n_rejected == 1
+        np.testing.assert_array_equal(rr.rr_times_s, [1.0, 4.5])
+        np.testing.assert_array_equal(rr.rejected_times_s, [3.5])
 
     def test_two_peaks_error(self):
         with pytest.raises(DataError):
@@ -194,6 +196,27 @@ class TestToRr:
     def test_insufficient_survivors(self):
         with pytest.raises(DataError, match="insufficient beats"):
             pulse.to_rr([0.0, 5.0, 10.0, 15.0])
+
+
+class TestRrSeries:
+    PEAKS = np.array([0.0, 0.8, 1.6, 4.0, 4.8])
+
+    @pytest.mark.parametrize("n_times", [2, 4])
+    def test_interval_times_of_another_length_refused(self, n_times):
+        times = 0.8 * np.arange(1, n_times + 1)
+        with pytest.raises(DataError, match=f"3 intervals but {n_times} interval times"):
+            pulse.RrSeries(self.PEAKS, np.full(3, 800.0), times)
+
+    @pytest.mark.parametrize("field", ["peak_times_s", "rr_times_s", "rejected_times_s"])
+    @pytest.mark.parametrize("fault", ["reversed", "repeated"])
+    def test_times_not_strictly_increasing_refused(self, field, fault):
+        times = dict(peak_times_s=self.PEAKS, rr_times_s=np.array([0.8, 1.6, 4.8]),
+                     rejected_times_s=np.array([4.0, 4.4]))
+        t = times[field]
+        times[field] = t[::-1] if fault == "reversed" else np.r_[t[:1], t[:-1]]
+        with pytest.raises(DataError, match="peak times must be strictly increasing"):
+            pulse.RrSeries(times["peak_times_s"], np.full(3, 800.0),
+                           times["rr_times_s"], times["rejected_times_s"])
 
 
 class TestSliceWindow:
