@@ -65,36 +65,18 @@ class CvReport:
         return json.dumps(asdict(self), indent=2)
 
 
-@dataclass(frozen=True)
-class FoldStats:
-    """One LOSO fold's training statistics; no training row is materialised."""
-    test: np.ndarray    # held-out row indices
-    f: np.ndarray       # ANOVA F of every column over the training rows
-    cols: np.ndarray    # the top-k columns by F, less zero-variance ones
-    mean: np.ndarray    # the scaler: mean and std (ddof = 1) of cols
-    std: np.ndarray
-    classes: moments.Moments  # the training rows' class moments, every column
-
-    def zscored(self, X: np.ndarray) -> np.ndarray:
-        """The fold's test rows of X, restricted to its columns and z-scored."""
-        return models.zscore(X, self.test, self.cols, self.mean, self.std)
-
-    def lda(self) -> models.LdaModel:
-        """LDA on the z-scored training rows, from their class moments."""
-        c, std = self.cols, self.std
-        scatter = self.classes.cross.sum(axis=0)[np.ix_(c, c)] / np.outer(std, std)
-        return models.lda_from_moments(self.classes.n,
-                                       (self.classes.mean[:, c] - self.mean) / std, scatter)
-
-
-def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
-    """Every held-out subject's fold, in subject order.
+def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K
+               ) -> tuple[list[models.Fold], moments.Moments]:
+    """Every held-out subject's training `models.Fold` of X, in subject order,
+    and the class moments of each fold's training rows, stacked (class, fold).
 
     The moments of each (subject, class) group of rows come from one sort
     (`moments.by_group`); a fold's class moments merge those of every other
     subject, all folds in one batched scan (`moments.leave_one_out`). Their
     ANOVA-F rankings, top-k selections and scalers, zero-variance columns
-    dropped, are computed for all folds at once by `windows.select`.
+    dropped, are computed for all folds at once by `windows.select`. A fold
+    whose training rows hold fewer than 2 rows of a class is refused with a
+    DataError that names its held-out subject.
     """
     models._check_two_classes(matrix.labels)
     n_subjects, codes = len(matrix.subject_ids), matrix.codes
@@ -102,8 +84,20 @@ def fold_stats(matrix: FeatureMatrix, k: int = DEFAULT_K) -> list[FoldStats]:
                               2 * n_subjects)
     groups = moments.Moments(*(f.reshape(n_subjects, 2, *f.shape[1:]) for f in groups))
     classes = moments.Moments(*(f.swapaxes(0, 1) for f in moments.leave_one_out(groups)))
-    return [FoldStats(np.flatnonzero(codes == code), *picked, classes[:, code])
-            for code, picked in enumerate(select(classes, k, matrix.columns))]
+    short = np.flatnonzero(np.any(classes.n < 2, axis=0))
+    if len(short):
+        raise DataError(f"fold {matrix.subject_ids[short[0]]}: "
+                        "ANOVA needs >= 2 rows in each class")
+    folds = [models.Fold(matrix.X.shape, np.flatnonzero(codes != code), cols, mean, std)
+             for code, (_, cols, mean, std) in enumerate(select(classes, k, matrix.columns))]
+    return folds, classes
+
+
+def _lda(classes: moments.Moments, fold: models.Fold) -> models.LdaModel:
+    """LDA on a fold's z-scored training rows, from their class moments."""
+    c, std = fold.cols, fold.std
+    scatter = classes.cross.sum(axis=0)[np.ix_(c, c)] / np.outer(std, std)
+    return models.lda_from_moments(classes.n, (classes.mean[:, c] - fold.mean) / std, scatter)
 
 
 def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "lda",
@@ -115,28 +109,29 @@ def loso_matrix(matrix: FeatureMatrix, k: int = DEFAULT_K, model_kind: str = "ld
     means and centred cross-products of each (subject, class) group are
     taken once, and each fold's class moments are the Chan merges of every
     other subject's (`fold_stats`). The fold's ANOVA-F ranking, scaler and,
-    for LDA, class means and pooled covariance follow from them. KNN and SGD
-    fit all folds at once (`models.knn_fit`, `models.sgd_logistic_fit`); KNN
+    for LDA, class means and pooled covariance follow from them. All three
+    models fit the `models.Fold`s that `fold_stats` returns; KNN and SGD fit
+    all folds at once (`models.knn_fit`, `models.sgd_logistic_fit`), and KNN
     filters every fold against one centred copy of the matrix and z-scores
     only the training rows its filter leaves undecided. Every fold is
-    predicted through its model's `predict_proba`, on its z-scored test rows.
+    predicted through its model's `predict_proba`, on the held-out subject's
+    rows z-scored by the fold's scaler (`models.zscore`).
     """
     if len(matrix.subject_ids) < 2:
         raise DataError("LOSO needs at least 2 subjects")
     check_run(k, [model_kind], seed)  # the seed is echoed, whatever the model
-    folds = fold_stats(matrix, k)
+    folds, classes = fold_stats(matrix, k)
     X, y = matrix.X, matrix.labels
     if model_kind == "lda":
-        fitted = (fold.lda() for fold in folds)
-    else:  # only KNN and SGD read the training rows
-        train = [models.Fold(X.shape, np.flatnonzero(matrix.codes != code), fold.cols,
-                             fold.mean, fold.std) for code, fold in enumerate(folds)]
-        fitted = (models.sgd_logistic_fit(X, y, train, seed).models if model_kind == "sgd"
-                  else models.knn_fit(X, y, train))
-    probs = [model.predict_proba(fold.zscored(X)) for fold, model in zip(folds, fitted)]
-    sizes = [len(fold.test) for fold in folds]
-    scored = _fold_metrics(y[np.concatenate([fold.test for fold in folds])],
-                           np.concatenate(probs) >= 0.5, sizes)
+        fitted = (_lda(classes[:, code], fold) for code, fold in enumerate(folds))
+    else:
+        fitted = (models.sgd_logistic_fit(X, y, folds, seed).models if model_kind == "sgd"
+                  else models.knn_fit(X, y, folds))
+    tests = [np.flatnonzero(matrix.codes == code) for code in range(len(folds))]
+    probs = [model.predict_proba(models.zscore(X, test, fold.cols, fold.mean, fold.std))
+             for test, fold, model in zip(tests, folds, fitted)]
+    sizes = list(map(len, tests))
+    scored = _fold_metrics(y[np.concatenate(tests)], np.concatenate(probs) >= 0.5, sizes)
     results = [FoldResult(sid, acc, conf, n)
                for sid, (acc, conf), n in zip(matrix.subject_ids, scored, sizes)]
     pooled_correct = sum(conf["tp"] + conf["tn"] for _, conf in scored)

@@ -141,7 +141,8 @@ def _rr_window(rr_ms) -> dict:
 
 
 def _refuse(rr: RrSeries, window_span_s: float) -> None:
-    if window_span_s < SPECTRAL_MIN_SPAN_S or rr.rr_ms.size < SPECTRAL_MIN_INTERVALS:
+    # nan fails every comparison, so this refuses nan as well as inf.
+    if not SPECTRAL_MIN_SPAN_S <= window_span_s < np.inf or rr.rr_ms.size < SPECTRAL_MIN_INTERVALS:
         raise DataError(f"spectral features need a window of >= 60 s and >= 20 "
                         f"intervals, got {window_span_s:.0f} s and {rr.rr_ms.size}")
 

@@ -232,24 +232,16 @@ def _render_beats(beat_times: np.ndarray, fs: float, n: int, dicrotic: bool) -> 
     return x.astype(float, copy=False)  # empty weights give int zeros
 
 
-def synth_ppg(
-    rr_plan_ms,
-    fs: float,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-    subject_id: str = "synth",
-    dicrotic: bool = False,
-    annotations: tuple[ConditionSpan, ...] = (),
-    suds: tuple[SudsRating, ...] = (),
-) -> PpgTrace:
+def synth_ppg(rr_plan_ms, fs: float, noise_sigma: float = 0.0, seed: int = 0,
+              dicrotic: bool = False) -> PpgTrace:
     """Render a PPG trace whose systolic peaks sit at cumsum(rr_plan).
 
     Deterministic for a fixed seed; noise is additive Gaussian. The seed and
     noise_sigma must pass `SynthCohortSpec`'s checks. This is the one-subject
-    case of `_synth_traces`.
+    case of `_synth_traces`: a trace of subject "synth", without condition
+    spans or SUDs ratings.
     """
-    return _synth_traces(rr_plan_ms, fs, noise_sigma, dicrotic, annotations,
-                         [(subject_id, seed, suds)])[0]
+    return _synth_traces(rr_plan_ms, fs, noise_sigma, dicrotic, (), [("synth", seed, ())])[0]
 
 
 def _synth_traces(rr_plan_ms, fs: float, noise_sigma: float, dicrotic: bool,

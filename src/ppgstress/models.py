@@ -2,18 +2,20 @@
 
 Each fitted model exposes a stress-membership probability; the rounded
 probability doubles as a 0.0-1.0 stress level for adaptive consumers.
-KNN and SGD fit the folds of a LOSO run, each a `Fold` of X that is checked
-once, where it is built. `sgd_logistic_fit(X, y, folds, seed)` steps every
-fold together and returns their models as an `SgdFolds`;
-`knn_fit(X, y, folds, k)` returns a tuple of its folds' models, all sharing
-one filter operand. A single fit on X is the fold of all its rows and columns.
+The folds of a LOSO run are `Fold`s of X, each checked once, where it is
+built (`evaluate.fold_stats`); LDA, KNN and SGD all fit them. LDA fits a
+fold from its training rows' class moments (`lda_from_moments`).
+`sgd_logistic_fit(X, y, folds, seed)` steps every fold together and returns
+their models as an `SgdFolds`; `knn_fit(X, y, folds, k)` returns a tuple of
+its folds' models, all sharing one filter operand. A single fit on X is the
+fold of all its rows and columns.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,29 +55,28 @@ def _check_two_classes(y: np.ndarray):
 class Fold:
     """The training rows, columns and scaler of one fold of a fit on an X of
     shape `shape`: it trains on `(X[rows][:, cols] - mean) / std`, labels
-    `y[rows]`. Building one refuses, with a ValidationError that starts with
-    `name` and the field, rows or cols that are not whole numbers indexing
-    such an X, repeated cols (KNN's filter weighs each column once) and a
-    mean or std that does not hold one value per column."""
+    `y[rows]`. Building one refuses, with a ValidationError that names the
+    field, rows or cols that are not whole numbers indexing such an X,
+    repeated cols (KNN's filter weighs each column once) and a mean or std
+    that does not hold one value per column."""
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    name: InitVar[str] = "fold"
 
-    def __post_init__(self, name):
+    def __post_init__(self):
         n, D = self.shape
-        object.__setattr__(self, "rows", check_indices(self.rows, f"{name} rows", n))
-        object.__setattr__(self, "cols", check_indices(self.cols, f"{name} cols", D))
+        object.__setattr__(self, "rows", check_indices(self.rows, "fold rows", n))
+        object.__setattr__(self, "cols", check_indices(self.cols, "fold cols", D))
         cols = np.sort(self.cols)
         twice = cols[1:][cols[1:] == cols[:-1]]
         if len(twice):
-            raise ValidationError(f"{name} cols must be distinct, got {twice[0]} twice")
+            raise ValidationError(f"fold cols must be distinct, got {twice[0]} twice")
         for field in ("mean", "std"):
-            got = len(check_array(getattr(self, field), f"{name} {field}"))
+            got = len(check_array(getattr(self, field), f"fold {field}"))
             if got != len(cols):
-                raise ValidationError(f"{name} {field} must hold one value per column "
+                raise ValidationError(f"fold {field} must hold one value per column "
                                       f"({len(cols)}), got {got}")
 
     def check_shape(self, X: np.ndarray):

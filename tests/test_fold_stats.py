@@ -36,17 +36,27 @@ def uneven(matrix):
     return small.take((~cut | (np.cumsum(cut) <= 20)) & ~gone)
 
 
+def folds_of(m, k):
+    """Each held-out subject's held-out rows, its `evaluate.fold_stats` fold,
+    the fold's training class moments and their ANOVA F, in subject order."""
+    folds, classes = evaluate.fold_stats(m, k)
+    return [(np.flatnonzero(m.codes == code), fold, classes[:, code],
+             windows.f_scores(classes[:, code])) for code, fold in enumerate(folds)]
+
+
 def assert_folds_match(m, k):
     """Every fold's statistics and predictions against the reference's."""
-    folds, refs = evaluate.fold_stats(m, k), list(scalar_folds.fold_splits(m, k))
+    folds, refs = folds_of(m, k), list(scalar_folds.fold_splits(m, k))
     assert len(folds) == len(refs) == len(m.subject_ids)
-    for fold, ref in zip(folds, refs):
-        np.testing.assert_array_equal(fold.test, np.flatnonzero(ref.test_mask))
+    for (test, fold, classes, f), ref in zip(folds, refs):
+        np.testing.assert_array_equal(test, np.flatnonzero(ref.test_mask))
         train = np.ones(m.n_rows, dtype=bool)  # the complement of the fold's test rows
-        train[fold.test] = False
+        train[test] = False
         np.testing.assert_array_equal(train, ~ref.test_mask)
-        assert np.all(np.abs(fold.f - ref.f) <= TOL * ref.f)
-        order = windows.rank(fold.f)
+        np.testing.assert_array_equal(fold.rows, np.flatnonzero(train))
+        assert fold.shape == m.X.shape
+        assert np.all(np.abs(f - ref.f) <= TOL * ref.f)
+        order = windows.rank(f)
         moved = order != ref.ranked
         assert np.all(np.abs(ref.f[order] - ref.f[ref.ranked])[moved]
                       <= TOL * ref.f[ref.ranked][moved])
@@ -55,8 +65,9 @@ def assert_folds_match(m, k):
         assert np.all(np.abs(fold.mean - ref.mean[at]) <= TOL * ref.std[at])
         assert np.all(np.abs(fold.std - ref.std[at]) <= TOL * ref.std[at])
 
-        test_X = fold.zscored(m.X)
-        lda, lda_ref = fold.lda(), scalar_folds.lda_fit(ref.train_X, ref.train_y)
+        test_X = models.zscore(m.X, test, fold.cols, fold.mean, fold.std)
+        lda = evaluate._lda(classes, fold)
+        lda_ref = scalar_folds.lda_fit(ref.train_X, ref.train_y)
         d, d_ref = lda.decision(test_X), lda_ref.decision(ref.test_X)
         assert np.max(np.abs(d - d_ref)) <= TOL * np.max(np.abs(d_ref))
         np.testing.assert_array_equal(lda.predict_proba(test_X) >= 0.5,
@@ -86,10 +97,12 @@ def test_fold_constant_column_scores_zero_and_is_dropped(matrix16):
     # 0.1 has no exact binary value: np.mean of it rounds, np.std is not 0.
     X[~m.rows_for("S02"), 3] = 0.1
     m = windows.FeatureMatrix(m.subjects, m.labels, m.starts, X, m.columns)
-    folds = evaluate.fold_stats(m, 35)
-    held_s02 = folds[m.subject_ids.index("S02")]
-    assert held_s02.f[3] == 0.0 and 3 not in held_s02.cols
-    assert all(f.f[3] > 0 and 3 in f.cols for f in folds if f is not held_s02)
+    folds = folds_of(m, 35)
+    s02 = m.subject_ids.index("S02")
+    _, held_s02, _, f_s02 = folds[s02]
+    assert f_s02[3] == 0.0 and 3 not in held_s02.cols
+    assert all(f[3] > 0 and 3 in fold.cols
+               for code, (_, fold, _, f) in enumerate(folds) if code != s02)
     assert_folds_match(m, 35)
 
 
@@ -99,8 +112,8 @@ def test_lfn_hfn_tie_within_tolerance(matrix16):
     lf, hf = matrix16.columns.index("LFn"), matrix16.columns.index("HFn")
     scores = windows.anova_f(matrix16).scores
     assert abs(scores["LFn"] - scores["HFn"]) <= TOL * scores["LFn"]
-    for fold in evaluate.fold_stats(matrix16, 35):
-        assert abs(fold.f[lf] - fold.f[hf]) <= TOL * fold.f[lf]
+    for _, _, _, f in folds_of(matrix16, 35):
+        assert abs(f[lf] - f[hf]) <= TOL * f[lf]
 
 
 def test_report_matches_reference_accuracies(matrix16):
@@ -124,8 +137,8 @@ def within(got, want, scale):
     return np.all((got == want) | (np.abs(got - want) <= TOL * scale))
 
 
-def assert_same_fold(fold, f, cols, mean, std):
-    assert within(fold.f, f, f)
+def assert_same_fold(fold, fold_f, f, cols, mean, std):
+    assert within(fold_f, f, f)
     assert sorted(fold.cols) == sorted(cols)
     at = [list(cols).index(c) for c in fold.cols]
     assert within(fold.mean, mean[at], std[at])
@@ -133,15 +146,15 @@ def assert_same_fold(fold, f, cols, mean, std):
 
 
 def assert_matches_sequential_scan(m, k=35):
-    folds, refs = evaluate.fold_stats(m, k), scalar_moments.fold_stats(m, k)
+    folds, refs = folds_of(m, k), scalar_moments.fold_stats(m, k)
     assert len(folds) == len(refs) == len(m.subject_ids)
-    for fold, (classes, *ref) in zip(folds, refs):
+    for (_, fold, got, f), (classes, *ref) in zip(folds, refs):
         for name in ("n", "lo", "hi"):
-            np.testing.assert_array_equal(getattr(fold.classes, name), getattr(classes, name))
-        assert within(fold.classes.mean, classes.mean, np.abs(classes.mean).max())
-        assert within(fold.classes.ss, classes.ss, classes.ss)
-        assert within(fold.classes.cross, classes.cross, np.abs(classes.cross).max())
-        assert_same_fold(fold, *ref)
+            np.testing.assert_array_equal(getattr(got, name), getattr(classes, name))
+        assert within(got.mean, classes.mean, np.abs(classes.mean).max())
+        assert within(got.ss, classes.ss, classes.ss)
+        assert within(got.cross, classes.cross, np.abs(classes.cross).max())
+        assert_same_fold(fold, f, *ref)
 
 
 def two_subjects(m):
@@ -161,9 +174,10 @@ def test_fold_without_a_class_refused_like_sequential_scan(matrix16):
     # without any; `uneven` alone covers a subject's empty class group.
     m = uneven(matrix16)
     m = m.take(m.codes >= 2)
-    for run in (evaluate.fold_stats, scalar_moments.fold_stats):
-        with pytest.raises(DataError, match="ANOVA needs >= 2 rows in each class"):
-            run(m, 35)
+    with pytest.raises(DataError, match="^fold S04: ANOVA needs >= 2 rows in each class$"):
+        evaluate.fold_stats(m, 35)
+    with pytest.raises(DataError, match="ANOVA needs >= 2 rows in each class"):
+        scalar_moments.fold_stats(m, 35)
 
 
 @pytest.mark.parametrize("make", [lambda m: m, lambda m: shuffled(m)[0]], ids=["rows", "shuffled"])
@@ -172,18 +186,18 @@ def test_constant_column_sums_of_squares_exactly_zero(matrix16, make):
     X[:, 3] = 0.1  # no exact binary value: a mean of it may round
     m = make(windows.FeatureMatrix(matrix16.subjects, matrix16.labels, matrix16.starts,
                                    X, matrix16.columns))
-    for fold in evaluate.fold_stats(m, 35):
-        assert np.all(fold.classes.ss[:, 3] == 0) and np.all(fold.classes.mean[:, 3] == 0.1)
-        assert np.all(fold.classes.cross[:, 3, :] == 0) and np.all(fold.classes.cross[:, :, 3] == 0)
-        assert fold.f[3] == 0.0 and 3 not in fold.cols
+    for _, fold, classes, f in folds_of(m, 35):
+        assert np.all(classes.ss[:, 3] == 0) and np.all(classes.mean[:, 3] == 0.1)
+        assert np.all(classes.cross[:, 3, :] == 0) and np.all(classes.cross[:, :, 3] == 0)
+        assert f[3] == 0.0 and 3 not in fold.cols
 
 
 def test_shuffled_rows_give_the_same_folds(matrix16):
     m, perm = shuffled(matrix16, seed=3)
-    by_subject = dict(zip(matrix16.subject_ids, evaluate.fold_stats(matrix16, 35)))
-    for sid, fold in zip(m.subject_ids, evaluate.fold_stats(m, 35)):
-        ref = by_subject[sid]
-        np.testing.assert_array_equal(np.sort(perm[fold.test]), ref.test)
-        np.testing.assert_array_equal(np.sort(perm[fold.test]),
+    by_subject = dict(zip(matrix16.subject_ids, folds_of(matrix16, 35)))
+    for sid, (test, fold, _, f) in zip(m.subject_ids, folds_of(m, 35)):
+        ref_test, ref, _, ref_f = by_subject[sid]
+        np.testing.assert_array_equal(np.sort(perm[test]), ref_test)
+        np.testing.assert_array_equal(np.sort(perm[test]),
                                       np.flatnonzero(matrix16.rows_for(sid)))
-        assert_same_fold(fold, ref.f, ref.cols, ref.mean, ref.std)
+        assert_same_fold(fold, f, ref_f, ref.cols, ref.mean, ref.std)

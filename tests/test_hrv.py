@@ -192,6 +192,14 @@ class TestAllFeatures:
         assert "too_many_rejected_intervals" in f.flags
 
 
+# nan and inf passed the old `span < 60` test and gave features without flags.
+@pytest.mark.parametrize("span", [np.nan, np.inf])
+@pytest.mark.parametrize("run", [hrv.all_features, hrv.frequency_domain])
+def test_non_finite_span_refused(run, span):
+    with pytest.raises(DataError, match=r"^spectral features need a window of >= 60 s"):
+        run(modulated_rr(0.25, span_s=80), span)
+
+
 rr_lists = st.lists(st.floats(min_value=400, max_value=1900), min_size=6,
                     max_size=60)
 

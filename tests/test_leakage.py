@@ -4,8 +4,8 @@ Two relations, which hold bit for bit:
 - pipeline: perturbing one subject's raw trace changes only that subject's
   rows of the feature matrix;
 - fold: perturbing the held-out subject's rows or labels leaves its fold's
-  ANOVA-F scores, columns and scaler, and its LDA, KNN and SGD probabilities
-  on the subject's original rows, bit-equal.
+  training class moments, ANOVA-F scores, columns and scaler, and its LDA,
+  KNN and SGD probabilities on the subject's original rows, bit-equal.
 
 They are checked on the easy cohort (`matrix16`) and on its chance-level
 control. KNN's filter operand is centred on the mean of every row, held-out
@@ -60,17 +60,18 @@ def perturbed(matrix, code, how):
 
 
 def held_out_fold(matrix, code, X_test):
-    """Fold `code`'s statistics, and each model's probabilities on X_test's
-    rows of that subject; KNN and SGD fit that fold alone."""
-    fold = evaluate.fold_stats(matrix)[code]
-    train = models.Fold(matrix.X.shape, np.flatnonzero(matrix.codes != code),
-                        fold.cols, fold.mean, fold.std)
-    Z = fold.zscored(X_test)
+    """Fold `code`'s training class moments, F, columns and scaler, and each
+    model's probabilities on X_test's rows of that subject; KNN and SGD fit
+    that fold alone."""
+    folds, classes = evaluate.fold_stats(matrix)
+    fold, classes = folds[code], classes[:, code]
+    Z = models.zscore(X_test, matrix.codes == code, fold.cols, fold.mean, fold.std)
     X, y = matrix.X, matrix.labels
-    return {"f": fold.f, "cols": fold.cols, "mean": fold.mean, "std": fold.std,
-            "lda": fold.lda().predict_proba(Z),
-            "knn": models.knn_fit(X, y, [train])[0].predict_proba(Z),
-            "sgd": models.sgd_logistic_fit(X, y, [train]).models[0].predict_proba(Z)}
+    return {**{f"classes.{name}": value for name, value in classes._asdict().items()},
+            "f": windows.f_scores(classes), "cols": fold.cols, "mean": fold.mean,
+            "std": fold.std, "lda": evaluate._lda(classes, fold).predict_proba(Z),
+            "knn": models.knn_fit(X, y, [fold])[0].predict_proba(Z),
+            "sgd": models.sgd_logistic_fit(X, y, [fold]).models[0].predict_proba(Z)}
 
 
 @pytest.fixture(scope="module")

@@ -354,9 +354,7 @@ class TestSgd:
         # the block buffers) took 2.8 MB on matrix16, so a second copy breaks SLACK.
         SLACK = 4 * 2 ** 20
         X, y = matrix16.X, matrix16.labels
-        specs = [models.Fold(X.shape, np.flatnonzero(matrix16.codes != code), f.cols,
-                             f.mean, f.std)
-                 for code, f in enumerate(evaluate.fold_stats(matrix16))]
+        specs, _ = evaluate.fold_stats(matrix16)
         monkeypatch.setattr(models, "SGD_EPOCHS", 1)
         copy = len(X) * len(specs) * (max(len(f.cols) for f in specs) + 1) * 8
         tracemalloc.start()
@@ -370,21 +368,21 @@ class TestSgd:
 
 def bad_folds(X):
     """The fields of a fold of X that each break one of its rules, with the
-    message that building it as fold 1 must raise."""
+    message that building it must raise."""
     n, d = X.shape
     rows, cols, mean, std = np.arange(n), np.arange(d), np.zeros(d), np.ones(d)
     return {
         # The SGD fit trained on the next row's column 0; KNN raised IndexError.
         "col-past-X": ((rows, np.array([d + 2]), mean[:1], std[:1]),
-                       rf"^fold 1 cols must lie in \[0, {d}\), got values from {d + 2}"),
+                       rf"^fold cols must lie in \[0, {d}\), got values from {d + 2}"),
         "repeated-col": ((rows, np.r_[cols[:-1], 0], mean, std),
-                         r"^fold 1 cols must be distinct, got 0 twice$"),
+                         r"^fold cols must be distinct, got 0 twice$"),
         "short-mean": ((rows, cols, mean[1:], std),
-                       rf"^fold 1 mean must hold one value per column \({d}\), got {d - 1}$"),
+                       rf"^fold mean must hold one value per column \({d}\), got {d - 1}$"),
         "short-std": ((rows, cols, mean, std[1:]),
-                      rf"^fold 1 std must hold one value per column \({d}\), got {d - 1}$"),
+                      rf"^fold std must hold one value per column \({d}\), got {d - 1}$"),
         "row-past-X": ((np.r_[rows, n], cols, mean, std),
-                       rf"^fold 1 rows must lie in \[0, {n}\)"),
+                       rf"^fold rows must lie in \[0, {n}\)"),
     }
 
 
@@ -394,8 +392,7 @@ def bad_fold_fits():
     bad fold is built as fold 1, so building it raises."""
     X, y = gaussian_clouds(n=4, d=3)
     good = one_fold(X)
-    cases = {case: (lambda f=fields: (X, y, good + [models.Fold(X.shape, *f, "fold 1")]),
-                    match)
+    cases = {case: (lambda f=fields: (X, y, good + [models.Fold(X.shape, *f)]), match)
              for case, (fields, match) in bad_folds(X).items()}
     return cases | {
         "no-folds": (lambda: (X, y, []), r"^need at least one fold$"),
@@ -419,8 +416,6 @@ def test_bad_fold_refused_by_knn_model(case):
     X, y = gaussian_clouds(n=4, d=3)
     fields, match = bad_folds(X)[case]
     with pytest.raises(ValidationError, match=match):
-        models.KnnModel(X, y, 1, models.Fold(X.shape, *fields, "fold 1"), models.knn_operand(X))
-    with pytest.raises(ValidationError, match=match.replace("fold 1", "fold")):
         models.KnnModel(X, y, 1, models.Fold(X.shape, *fields), models.knn_operand(X))
 
 
@@ -428,11 +423,10 @@ def test_knn_fit_checks_each_fold_once():
     # A fold's indices are checked where it is built, and not again by the fit.
     X, y = gaussian_clouds(n=4, d=3)
     with mock.patch.object(models, "check_indices", wraps=models.check_indices) as check:
-        folds = [models.Fold(X.shape, np.arange(8), np.arange(3), np.zeros(3), np.ones(3),
-                             f"fold {f}") for f in range(3)]
+        folds = [models.Fold(X.shape, np.arange(8), np.arange(3), np.zeros(3), np.ones(3))
+                 for _ in range(3)]
         models.knn_fit(X, y, folds, 2)
-    assert [c.args[1] for c in check.call_args_list] \
-        == [f"fold {f} {field}" for f in range(3) for field in ("rows", "cols")]
+    assert [c.args[1] for c in check.call_args_list] == ["fold rows", "fold cols"] * 3
 
 
 @pytest.mark.parametrize("shape", [(9, 3), (8, 4)])
