@@ -21,24 +21,10 @@ EXACT_U_CAP = 16
 DEFAULT_K = 35  # exceeds the 27 columns: all are kept, and ANOVA-F only orders them
 
 
-def metrics(y_true, y_pred) -> tuple[float, dict[str, int]]:
-    """Accuracy and 2x2 confusion counts of 0/1 labels (stress = positive class)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if len(y_true) != len(y_pred):
-        raise ValidationError(f"length mismatch: {len(y_true)} vs {len(y_pred)}")
-    if len(y_true) == 0:
-        raise ValidationError("empty label sequences")
-    for y in (y_true, y_pred):
-        other = y[(y != 0) & (y != 1)]
-        if other.size:
-            raise ValidationError(f"labels must be 0 or 1, got {other[0].item()!r}")
-    return _fold_metrics(y_true, y_pred, [len(y_true)])[0]
-
-
 def _fold_metrics(y_true, y_pred, sizes) -> list[tuple[float, dict[str, int]]]:
-    """`metrics` of each run of `sizes[i]` consecutive rows: every run's
-    confusion counts from one bincount."""
+    """Accuracy and 2x2 confusion counts (stress = positive class) of each run
+    of `sizes[i]` consecutive rows of the 0/1 labels: every run's counts from
+    one bincount."""
     fold = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(4 * fold + 2 * y_true.astype(np.intp) + y_pred.astype(np.intp),
                          minlength=4 * len(sizes))

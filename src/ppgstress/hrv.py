@@ -71,10 +71,6 @@ class WindowFeatures:
     values: dict[str, float]
     flags: tuple[str, ...] = ()
 
-    @property
-    def usable(self) -> bool:
-        return not self.flags
-
 
 def window_features(rr: RrSeries, start_s, end_s) -> tuple[np.ndarray, np.ndarray]:
     """Catalog rows of the windows [start_s[i], end_s[i]) of one RR series; a
@@ -144,7 +140,7 @@ def _refuse(rr: RrSeries, window_span_s: float) -> None:
     # nan fails every comparison, so this refuses nan as well as inf.
     if not SPECTRAL_MIN_SPAN_S <= window_span_s < np.inf or rr.rr_ms.size < SPECTRAL_MIN_INTERVALS:
         raise DataError(f"spectral features need a window of >= 60 s and >= 20 "
-                        f"intervals, got {window_span_s:.0f} s and {rr.rr_ms.size}")
+                        f"intervals, got {window_span_s:g} s and {rr.rr_ms.size}")
 
 
 def time_domain(rr_ms) -> dict[str, float]:

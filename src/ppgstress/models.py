@@ -349,9 +349,10 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     SGD_EPOCHS epochs; seeded shuffling each epoch makes the fit
     bit-reproducible.
 
-    Each `Fold` of X is fitted on its z-scored rows, as if alone: its own
-    `default_rng(seed)` permutations, step counter, learning rate, losses
-    and divergence check.
+    Each `Fold` of X is fitted on its z-scored rows, as if alone: the
+    permutations of `default_rng(seed)` for its row count, its own step
+    counter, learning rate, losses and divergence check. Folds with equal row
+    counts would draw equal permutations, so each count draws them once.
 
     Row f of V is fold f's weights, then its bias on a column of ones. Within
     a block of SGD_BLOCK steps the weights are s_t * V, s_t the product of the
@@ -391,7 +392,7 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
     Z /= S
     Z, lane = Z.reshape(-1, d + 1), np.arange(F)
     sign = 1.0 - 2.0 * y
-    V, rngs = np.zeros((F, d + 1)), [np.random.default_rng(seed) for _ in folds]
+    V, rngs = np.zeros((F, d + 1)), {m: np.random.default_rng(seed) for m in set(n.tolist())}
     R, i = np.tile([fold.rows[0] for fold in folds], (N, 1)), np.arange(N)[:, None]
     # Reused, as fresh block-sized arrays page-fault: a block's rows and
     # updates, its label signs, and a step's g and g u.
@@ -405,8 +406,9 @@ def sgd_logistic_fit(X, y, folds, seed: int = 0) -> SgdFolds:
         return np.take(Z, rb * F + lane, axis=0, out=a, mode="clip")
 
     for epoch in range(SGD_EPOCHS + 1):  # pass e steps epoch e, takes epoch e-1's loss
+        perms = {m: rng.permutation(m) for m, rng in rngs.items()}
         for f, fold in enumerate(folds):
-            R[:n[f], f] = fold.rows[rngs[f].permutation(n[f])]  # fold f's row at each step
+            R[:n[f], f] = fold.rows[perms[n[f]]]  # fold f's row at each step
         lr = np.where(i < n, SGD_LR0 / (1.0 + (epoch * n + i) * SGD_DECAY), 0.0)
         V0 = V.copy()  # the weights after epoch e-1
         for rb, lb, zb in zip(*(A.reshape(-1, SGD_BLOCK, F) for A in (R, lr, z))):

@@ -17,33 +17,27 @@ from ppgstress.errors import DataError, ValidationError
 
 
 class TestMetrics:
+    """`_fold_metrics`, which scores every LOSO fold, on one fold of all rows."""
+
+    @staticmethod
+    def metrics(y_true, y_pred):
+        return evaluate._fold_metrics(np.array(y_true), np.array(y_pred), [len(y_true)])[0]
+
     def test_perfect(self):
-        acc, conf = evaluate.metrics([1, 0, 1], [1, 0, 1])
+        acc, conf = self.metrics([1, 0, 1], [1, 0, 1])
         assert acc == 1.0
 
     def test_complement(self):
-        acc, _ = evaluate.metrics([1, 0], [0, 1])
+        acc, _ = self.metrics([1, 0], [0, 1])
         assert acc == 0.0
 
     def test_counts(self):
-        acc, conf = evaluate.metrics([1, 0, 1, 1], [1, 0, 0, 1])
+        acc, conf = self.metrics([1, 0, 1, 1], [1, 0, 0, 1])
         assert acc == 0.75
         assert conf == {"tp": 2, "tn": 1, "fn": 1, "fp": 0}
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            evaluate.metrics([1], [1, 0])
-
-    @pytest.mark.parametrize("y_true,y_pred,shown", [([2, 0], [1, 0], "2"),
-                                                     ([1, 0], [1, -1], "-1"),
-                                                     ([1], [0.5], "0.5")])
-    def test_labels_outside_zero_one_refused(self, y_true, y_pred, shown):
-        # The counts come from one bincount over 2 * y_true + y_pred.
-        with pytest.raises(ValidationError, match=f"^labels must be 0 or 1, got {shown}$"):
-            evaluate.metrics(y_true, y_pred)
-
     def test_bool_and_float_labels(self):
-        acc, conf = evaluate.metrics([True, False, True], [1.0, 1.0, 0.0])
+        acc, conf = self.metrics([True, False, True], [1.0, 1.0, 0.0])
         assert acc == 1 / 3
         assert conf == {"tp": 1, "tn": 0, "fp": 1, "fn": 1}
 
@@ -426,6 +420,17 @@ class TestSudsReport:
             for i in range(2))
         rep = evaluate.suds_report(io.Dataset(traces))
         assert rep.utest.p_two_tailed > 0.9
+
+    def test_ratings_in_one_condition_refused(self):
+        spans = (io.ConditionSpan(0, 100, io.Condition.RELAXING),
+                 io.ConditionSpan(100, 200, io.Condition.STRESSFUL))
+        ok = io.PpgTrace("s1", 100.0, np.zeros(20000), spans,
+                         (io.SudsRating(10, 10), io.SudsRating(150, 80)))
+        relaxed_only = io.PpgTrace("s2", 100.0, np.zeros(20000), spans,
+                                   (io.SudsRating(10, 10), io.SudsRating(50, 20)))
+        with pytest.raises(DataError,
+                           match=r"^subject s2 lacks SUDs ratings in both conditions$"):
+            evaluate.suds_report(io.Dataset((ok, relaxed_only)))
 
     def test_rating_outside_spans(self):
         spans = (io.ConditionSpan(0, 100, io.Condition.RELAXING),

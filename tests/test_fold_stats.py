@@ -120,7 +120,7 @@ def test_report_matches_reference_accuracies(matrix16):
     rep = evaluate.loso_matrix(matrix16, 35, "lda")
     for fold, ref in zip(rep.folds, scalar_folds.fold_splits(matrix16, 35)):
         want = scalar_folds.lda_fit(ref.train_X, ref.train_y).predict_proba(ref.test_X)
-        assert fold.accuracy == evaluate.metrics(ref.test_y, want >= 0.5)[0]
+        assert fold.accuracy == np.mean(ref.test_y == (want >= 0.5))
 
 
 def shuffled(matrix, seed=0):

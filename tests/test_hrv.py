@@ -108,7 +108,7 @@ class TestFrequencyDomain:
     def test_constant_rr_flagged(self):
         f = hrv.frequency_domain(rr_series([1000.0] * 300), 300.0)
         assert f.values["LF"] < 1e-9 and f.values["HF"] < 1e-9
-        assert not f.usable
+        assert f.flags
 
     @pytest.mark.acceptance
     def test_lf_modulation(self):
@@ -175,7 +175,7 @@ class TestNonlinear:
 class TestAllFeatures:
     def test_valid_window_all_finite(self):
         f = hrv.all_features(modulated_rr(0.25, span_s=80), 80.0)
-        assert f.usable
+        assert f.flags == ()
         assert set(f.values) == set(hrv.FEATURE_NAMES)
         assert all(math.isfinite(v) for v in f.values.values())
 
@@ -198,6 +198,14 @@ class TestAllFeatures:
 def test_non_finite_span_refused(run, span):
     with pytest.raises(DataError, match=r"^spectral features need a window of >= 60 s"):
         run(modulated_rr(0.25, span_s=80), span)
+
+
+def test_short_span_refusal_shows_the_span():
+    # `:.0f` printed a 59.6 s span as "60 s", the floor it was refused for.
+    rr = modulated_rr(0.25, span_s=80)
+    with pytest.raises(DataError, match=rf"^spectral features need .* got 59\.6 s and "
+                                        rf"{rr.rr_ms.size}$"):
+        hrv.all_features(rr, 59.6)
 
 
 rr_lists = st.lists(st.floats(min_value=400, max_value=1900), min_size=6,

@@ -3,7 +3,10 @@
 They need no ground truth, so they are checked on the easy cohort
 (`matrix16`) and on its chance-level control alike. Class swap, and subject
 order for LDA and KNN, hold exactly, fold by fold; raw gain and the BLAS
-kernels that OpenBLAS picks for the CPU hold within rounding.
+kernels that OpenBLAS picks for the CPU hold within rounding. On RR series,
+scaling the intervals by 2 scales the spread and band-power features
+exactly; another factor, and reversing the series in time, hold within
+rounding.
 """
 
 import os
@@ -18,7 +21,8 @@ import numpy as np
 import pytest
 
 import ppgstress
-from ppgstress import evaluate, models, windows
+from conftest import assert_bit_equal, modulated_rr, rr_series
+from ppgstress import evaluate, hrv, models, pulse, windows
 
 MATRICES = ("easy", "shuffled")
 
@@ -88,6 +92,63 @@ def test_raw_gain_leaves_peak_times(cohort16, peaks16, gain):
         np.testing.assert_allclose(windows.prepare_trace(scaled).peak_times_s,
                                    peaks16[trace.subject_id], rtol=0, atol=1e-12,
                                    err_msg=trace.subject_id)
+
+
+def rr_cases() -> dict[str, np.ndarray]:
+    """RR intervals (ms) of four shapes: a 0.1 Hz and a 0.25 Hz modulation,
+    white noise and a random walk."""
+    rng = np.random.default_rng(0)
+    return {"lf": modulated_rr(0.1).rr_ms, "hf": modulated_rr(0.25, amp_ms=80.0).rr_ms,
+            "noise": rng.uniform(500.0, 1300.0, 400),
+            "walk": 800.0 + np.cumsum(rng.normal(0.0, 5.0, 400))}
+
+
+RR_CASES = rr_cases()
+
+
+def catalog(rr: pulse.RrSeries, starts, ends) -> dict[str, np.ndarray]:
+    """Each catalog column of the windows [starts, ends) of rr, by name."""
+    X, reasons = hrv.window_features(rr, starts, ends)
+    assert not reasons.any()
+    return dict(zip(hrv.FEATURE_NAMES, X.T))
+
+
+# Reversal reorders the intervals and negates and reorders their differences,
+# so each sum is taken in another order. Measured on these cases, SDNN, RMSSD
+# and SD2 came out bit-equal and SD1 moved by 1.2e-16 relative on one; no
+# order of summation is promised, so all four are held within 1e-12.
+@pytest.mark.parametrize("case", RR_CASES)
+def test_time_reversal_leaves_spread_features(case):
+    rr_ms = RR_CASES[case]
+    forward, backward = (catalog(rr_series(x), [-np.inf], [np.inf])
+                         for x in (rr_ms, rr_ms[::-1]))
+    for name in ("SDNN", "RMSSD", "SD1", "SD2"):
+        np.testing.assert_allclose(backward[name], forward[name], rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+# Intervals times c, their times kept, scale SDNN and RMSSD by c and the band
+# powers by c^2. For c = 2 every operation on the way (sums, means, square
+# roots, interpolation, FFT) commutes with the scaling, so the relation holds
+# bit for bit. For c = 1.1, measured on these windows, SDNN and RMSSD moved
+# by up to 2.2e-15 relative and a band power by up to 7.4e-15 of the
+# window's total power (4.9e-12 of its own value, for an LF of 1e-5 ms^2):
+# they are held within 1e-12 of the value and of the total power.
+@pytest.mark.parametrize("case", RR_CASES)
+@pytest.mark.parametrize("c", [2.0, 1.1])
+def test_interval_scale_scales_spread_and_power(case, c):
+    rr = rr_series(RR_CASES[case])
+    scaled = pulse.RrSeries(rr.peak_times_s, c * rr.rr_ms, rr.rr_times_s)
+    starts = np.arange(0.0, rr.rr_times_s[-1] - 60.0, 17.0)
+    base, got = (catalog(r, starts, starts + 80.0) for r in (rr, scaled))
+    for name, power in (("SDNN", 1), ("RMSSD", 1), ("VLF", 2), ("LF", 2), ("HF", 2)):
+        want = c ** power * base[name]
+        if c == 2.0:
+            assert_bit_equal(got[name], want)
+        elif power == 1:
+            np.testing.assert_allclose(got[name], want, rtol=1e-12, atol=0, err_msg=name)
+        else:
+            assert np.all(np.abs(got[name] - want) <= 1e-12 * c ** 2 * base["TP"]), name
 
 
 def blas_skip_reason() -> str | None:

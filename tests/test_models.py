@@ -41,6 +41,13 @@ class TestLda:
         assert m.predict_proba(np.zeros((1, 2)))[0] == pytest.approx(0.5,
                                                                      abs=1e-9)
 
+    def test_zero_scatter_refused(self):
+        # A zero scatter has a zero trace, so the ridge adds nothing: the
+        # singular solve is refused as a DataError, not numpy's LinAlgError.
+        with pytest.raises(DataError, match=r"^pooled covariance singular even after ridge$"):
+            models.lda_from_moments(np.array([3, 3]), np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                    np.zeros((2, 2)))
+
     def test_duplicate_column_same_predictions(self):
         X, y = gaussian_clouds(seed=2, d=3, sep=1.0, sigma=1.0)
         X2 = np.c_[X, X[:, 0]]
@@ -383,6 +390,8 @@ def bad_folds(X):
                       rf"^fold std must hold one value per column \({d}\), got {d - 1}$"),
         "row-past-X": ((np.r_[rows, n], cols, mean, std),
                        rf"^fold rows must lie in \[0, {n}\)"),
+        "float-rows": ((rows.astype(float), cols, mean, std),
+                       r"^fold rows must be whole numbers, got dtype float64$"),
     }
 
 

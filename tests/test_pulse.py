@@ -40,6 +40,12 @@ class TestDetectPeaks:
     def test_all_zero_signal(self):
         assert len(pulse.detect_peaks(np.zeros(2000), FS)) == 0
 
+    def test_slow_lobe_gives_no_peaks(self):
+        # One positive 10 s half-sine: the short average never clears the
+        # long one plus its offset, so no block is left to pick from.
+        t = np.arange(1000) / FS
+        assert len(pulse.detect_peaks(np.sin(np.pi * t / 10.0), FS)) == 0
+
     @pytest.mark.acceptance
     def test_noise_robustness(self):
         plan = [1000.0] * 120
